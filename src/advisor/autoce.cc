@@ -135,11 +135,9 @@ Status AutoCe::Fit(const std::vector<featgraph::FeatureGraph>& graphs,
   Rng init_rng = rng_.Fork(1);
   encoder_ = std::make_unique<gnn::GinEncoder>(extractor_.vertex_dim(),
                                                config_.gin, &init_rng);
-  trainer_ = std::make_unique<gnn::DmlTrainer>(encoder_.get(), config_.dml);
 
   train_rng_ = rng_.Fork(2);
   best_params_.clear();
-  opt_state_ = nn::Adam::State{};
   cursor_ = TrainCursor{};
   if (config_.validation_interval <= 0) {
     cursor_.phase = FitPhase::kPlain;
@@ -177,14 +175,10 @@ Status AutoCe::RunCheckpointedFit() {
     // Plain Algorithm 1: one single-shot training pass with no
     // intermediate checkpoints. A resume restarts it from the initial
     // snapshot; the restored RNG streams make the restart bit-identical.
-    if (trainer_ == nullptr) {
-      trainer_ =
-          std::make_unique<gnn::DmlTrainer>(encoder_.get(), config_.dml);
-    }
-    auto loss = trainer_->Train(graphs_, dml_labels_, &train_rng_);
-    fit_report_.dml_batches_skipped += trainer_->last_skipped_batches();
+    gnn::DmlTrainer trainer(encoder_.get(), config_.dml);
+    auto loss = trainer.Train(graphs_, dml_labels_, &train_rng_);
+    fit_report_.dml_batches_skipped += trainer.last_skipped_batches();
     if (!loss.ok()) return loss.status();
-    opt_state_ = trainer_->ExportOptimizerState();
     RefreshEmbeddings();
     if (config_.enable_incremental) {
       AUTOCE_RETURN_NOT_OK(RunIncrementalLearning());
@@ -225,7 +219,6 @@ Status AutoCe::RunCheckpointedFit() {
             static_cast<int64_t>(chunk_trainer.last_skipped_batches()));
       }
       if (!loss.ok()) return loss.status();
-      opt_state_ = chunk_trainer.ExportOptimizerState();
       cursor_.trained_epochs += chunk_cfg.epochs;
       RefreshEmbeddings();
       double err = HoldOutDError(cursor_.val_idx);
@@ -240,6 +233,7 @@ Status AutoCe::RunCheckpointedFit() {
       AUTOCE_RETURN_NOT_OK(CommitCheckpoint());
     }
     encoder_->RestoreParams(best_params_);
+    best_params_.clear();  // later phases never read it; keeps snapshots lean
     RefreshEmbeddings();
     cursor_.phase = FitPhase::kIncremental;
     AUTOCE_RETURN_NOT_OK(CommitCheckpoint());
@@ -597,7 +591,6 @@ Status AutoCe::AddLabeledSamples(
       Rng tune_rng = rng_.Fork(graphs_.size());
       auto loss = tuner.Train(graphs_, dml_labels_, &tune_rng);
       if (!loss.ok()) return loss.status();
-      opt_state_ = tuner.ExportOptimizerState();
     }
   }
   // With fine-tuning disabled (online_update_epochs <= 0) the encoder
@@ -623,21 +616,30 @@ double AutoCe::EvaluateMeanDError(
   return stats::Mean(errs);
 }
 
+// ---------------------------------------------------------------------------
+// Persistence (DESIGN.md Sec. 5.7): crash-safe snapshots, resumable
+// training, and `.ace` model files, which are single snapshot generations.
+
 namespace {
 
-constexpr uint32_t kMagic = 0x41434531;  // "ACE1"
-// Version 2 added per-model `failed` flags to each RCS label. Version 3
-// pinned the encoding to little-endian with fixed widths (byte-swapped
-// on big-endian hosts); the layout is unchanged, so v2 files written on
-// little-endian machines — all of them in practice — still load.
-constexpr uint32_t kVersion = 3;
+constexpr uint32_t kSnapshotFormatVersion = 1;
+constexpr char kSecConfig[] = "config";
+constexpr char kSecRcs[] = "rcs";
+constexpr char kSecEncoder[] = "encoder";
+constexpr char kSecBest[] = "best";
+constexpr char kSecRng[] = "rng";
+constexpr char kSecCursor[] = "cursor";
+
+/// Magic of the retired pre-snapshot `.ace` layout (versions 2 and 3),
+/// recognized only so Load can name it in its error.
+constexpr uint32_t kLegacyAceMagic = 0x41434531;  // "ACE1"
 
 void WriteMatrix(BinaryWriter* w, const nn::Matrix& m) {
   w->WriteU64(m.rows());
   w->WriteU64(m.cols());
   // Mirrors WriteDoubles' framing (u64 count + little-endian payload)
   // without materializing a temporary vector — checkpoints serialize
-  // every encoder/optimizer matrix, so the copy is worth avoiding.
+  // every encoder matrix, so the copy is worth avoiding.
   w->WriteU64(m.size());
   if constexpr (std::endian::native == std::endian::little) {
     w->WriteBytes(m.data(), m.size() * sizeof(double));
@@ -651,8 +653,11 @@ Result<nn::Matrix> ReadMatrix(BinaryReader* r) {
   uint64_t cols = r->ReadU64();
   std::vector<double> data = r->ReadDoubles();
   if (!r->status().ok()) return r->status();
-  if (data.size() != rows * cols) {
-    return Status::Internal("matrix payload size mismatch");
+  // Divides rather than multiplies: rows * cols can wrap around to the
+  // payload size.
+  if (cols == 0 ? !data.empty()
+                : data.size() % cols != 0 || data.size() / cols != rows) {
+    return Status::DataLoss("matrix payload size mismatch");
   }
   nn::Matrix m(rows, cols);
   for (size_t i = 0; i < data.size(); ++i) m.data()[i] = data[i];
@@ -671,139 +676,6 @@ Status ValidateLoadedConfig(const AutoCeConfig& config) {
   }
   return Status::OK();
 }
-
-}  // namespace
-
-Status AutoCe::Save(const std::string& path) const {
-  if (encoder_ == nullptr) {
-    return Status::FailedPrecondition("cannot save an unfitted advisor");
-  }
-  BinaryWriter w(path);
-  w.WriteU32(kMagic);
-  w.WriteU32(kVersion);
-
-  // Config (the parts inference depends on).
-  w.WriteU32(static_cast<uint32_t>(config_.feature.max_columns));
-  w.WriteU32(static_cast<uint32_t>(config_.gin.num_layers));
-  w.WriteU32(static_cast<uint32_t>(config_.gin.hidden));
-  w.WriteU32(static_cast<uint32_t>(config_.gin.embedding_dim));
-  w.WriteU32(static_cast<uint32_t>(config_.knn_k));
-  w.WriteDouble(config_.drift_percentile);
-  w.WriteDoubles(config_.training_weights);
-
-  // RCS graphs + labels.
-  w.WriteU64(graphs_.size());
-  for (size_t i = 0; i < graphs_.size(); ++i) {
-    w.WriteString(graphs_[i].dataset_name);
-    WriteMatrix(&w, graphs_[i].vertices);
-    WriteMatrix(&w, graphs_[i].edges);
-    const DatasetLabel& label = labels_[i];
-    for (int m = 0; m < ce::kNumModels; ++m) {
-      w.WriteDouble(label.accuracy_score[static_cast<size_t>(m)]);
-      w.WriteDouble(label.efficiency_score[static_cast<size_t>(m)]);
-      w.WriteDouble(label.qerror_mean[static_cast<size_t>(m)]);
-      w.WriteDouble(label.latency_ms[static_cast<size_t>(m)]);
-      w.WriteU32(label.failed[static_cast<size_t>(m)] ? 1 : 0);
-    }
-  }
-
-  w.WriteDoubles(label_mean_);
-
-  // Encoder parameters.
-  auto params = const_cast<gnn::GinEncoder*>(encoder_.get())->Params();
-  w.WriteU64(params.size());
-  for (const nn::Matrix* p : params) WriteMatrix(&w, *p);
-  return w.Close();
-}
-
-Result<AutoCe> AutoCe::Load(const std::string& path) {
-  BinaryReader r(path);
-  if (!r.status().ok()) return r.status();
-  if (r.ReadU32() != kMagic) {
-    return Status::InvalidArgument("not an AutoCE model file: " + path);
-  }
-  uint32_t version = r.ReadU32();
-  if (version != 2 && version != kVersion) {
-    return Status::InvalidArgument("unsupported model file version " +
-                                   std::to_string(version));
-  }
-
-  AutoCeConfig config;
-  config.feature.max_columns = static_cast<int>(r.ReadU32());
-  config.gin.num_layers = static_cast<int>(r.ReadU32());
-  config.gin.hidden = static_cast<int>(r.ReadU32());
-  config.gin.embedding_dim = static_cast<int>(r.ReadU32());
-  config.knn_k = static_cast<int>(r.ReadU32());
-  config.drift_percentile = r.ReadDouble();
-  config.training_weights = r.ReadDoubles();
-  if (!r.status().ok()) return r.status();
-  AUTOCE_RETURN_NOT_OK(ValidateLoadedConfig(config));
-
-  AutoCe advisor(config);
-
-  uint64_t n = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (uint64_t i = 0; i < n; ++i) {
-    featgraph::FeatureGraph g;
-    g.dataset_name = r.ReadString();
-    AUTOCE_ASSIGN_OR_RETURN(g.vertices, ReadMatrix(&r));
-    AUTOCE_ASSIGN_OR_RETURN(g.edges, ReadMatrix(&r));
-    DatasetLabel label;
-    for (int m = 0; m < ce::kNumModels; ++m) {
-      label.accuracy_score[static_cast<size_t>(m)] = r.ReadDouble();
-      label.efficiency_score[static_cast<size_t>(m)] = r.ReadDouble();
-      label.qerror_mean[static_cast<size_t>(m)] = r.ReadDouble();
-      label.latency_ms[static_cast<size_t>(m)] = r.ReadDouble();
-      label.failed[static_cast<size_t>(m)] = r.ReadU32() != 0;
-    }
-    advisor.graphs_.push_back(std::move(g));
-    advisor.labels_.push_back(label);
-  }
-  advisor.label_mean_ = r.ReadDoubles();
-  if (!r.status().ok()) return r.status();
-  if (advisor.label_mean_.size() !=
-      config.training_weights.size() * static_cast<size_t>(ce::kNumModels)) {
-    return Status::DataLoss("model centering vector size mismatch");
-  }
-  for (const auto& label : advisor.labels_) {
-    advisor.dml_labels_.push_back(advisor.BuildDmlLabel(label));
-  }
-
-  Rng init_rng(1);
-  advisor.encoder_ = std::make_unique<gnn::GinEncoder>(
-      advisor.extractor_.vertex_dim(), config.gin, &init_rng);
-  auto params = advisor.encoder_->Params();
-  uint64_t num_params = r.ReadU64();
-  if (r.status().ok() && num_params != params.size()) {
-    return Status::Internal("encoder parameter count mismatch");
-  }
-  for (nn::Matrix* p : params) {
-    AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
-    if (!m.SameShape(*p)) {
-      return Status::Internal("encoder parameter shape mismatch");
-    }
-    *p = std::move(m);
-  }
-  if (!r.status().ok()) return r.status();
-
-  advisor.RefreshEmbeddings();
-  advisor.RefreshDriftThreshold();
-  return advisor;
-}
-
-// ---------------------------------------------------------------------------
-// Crash-safe snapshots and resumable training (DESIGN.md Sec. 5.7).
-
-namespace {
-
-constexpr uint32_t kSnapshotFormatVersion = 1;
-constexpr char kSecConfig[] = "config";
-constexpr char kSecRcs[] = "rcs";
-constexpr char kSecEncoder[] = "encoder";
-constexpr char kSecBest[] = "best";
-constexpr char kSecOptimizer[] = "optimizer";
-constexpr char kSecRng[] = "rng";
-constexpr char kSecCursor[] = "cursor";
 
 void WriteRngState(BinaryWriter* w, const Rng::State& s) {
   for (uint64_t v : s.s) w->WriteU64(v);
@@ -844,6 +716,27 @@ const util::SnapshotSection* FindSection(
 }
 
 }  // namespace
+
+Status AutoCe::Save(const std::string& path) const {
+  if (encoder_ == nullptr) {
+    return Status::FailedPrecondition("cannot save an unfitted advisor");
+  }
+  return util::WriteSnapshotFile(path, BuildSnapshotSections());
+}
+
+Result<AutoCe> AutoCe::Load(const std::string& path) {
+  auto sections = util::ReadSnapshotFile(path);
+  if (!sections.ok()) {
+    BinaryReader r(path);
+    if (r.ReadU32() == kLegacyAceMagic && r.status().ok()) {
+      return Status::InvalidArgument(
+          "legacy pre-snapshot .ace file (v2/v3) is no longer readable; "
+          "retrain it with `autoce train`: " + path);
+    }
+    return sections.status();
+  }
+  return FromSnapshotSections(*sections);
+}
 
 Status AutoCe::EnableSnapshots(const std::string& dir,
                                util::SnapshotStoreOptions options) {
@@ -949,14 +842,6 @@ std::vector<util::SnapshotSection> AutoCe::BuildSnapshotSections() const {
   }
   {
     BinaryWriter w;
-    w.WriteU64(opt_state_.m.size());
-    for (const nn::Matrix& m : opt_state_.m) WriteMatrix(&w, m);
-    for (const nn::Matrix& m : opt_state_.v) WriteMatrix(&w, m);
-    w.WriteI64(opt_state_.t);
-    sections.push_back({kSecOptimizer, w.buffer()});
-  }
-  {
-    BinaryWriter w;
     WriteRngState(&w, rng_.SaveState());
     WriteRngState(&w, train_rng_.SaveState());
     sections.push_back({kSecRng, w.buffer()});
@@ -975,8 +860,10 @@ std::vector<util::SnapshotSection> AutoCe::BuildSnapshotSections() const {
 
 Result<AutoCe> AutoCe::FromSnapshotSections(
     const std::vector<util::SnapshotSection>& sections) {
-  const char* required[] = {kSecConfig, kSecRcs,       kSecEncoder, kSecBest,
-                            kSecOptimizer, kSecRng,    kSecCursor};
+  // Unknown sections are ignored, so older generations that still carry
+  // an "optimizer" section keep loading.
+  const char* required[] = {kSecConfig, kSecRcs, kSecEncoder, kSecBest,
+                            kSecRng,    kSecCursor};
   for (const char* name : required) {
     if (FindSection(sections, name) == nullptr) {
       return Status::DataLoss(std::string("snapshot is missing section '") +
@@ -1040,6 +927,11 @@ Result<AutoCe> AutoCe::FromSnapshotSections(
         label.latency_ms[static_cast<size_t>(m)] = r.ReadDouble();
         label.failed[static_cast<size_t>(m)] = r.ReadU32() != 0;
       }
+      // Every RCS member passed this check on its way in (Fit and
+      // AddLabeledSamples validate samples), so a mismatch here is a
+      // corrupt file — caught before the encoder would abort on it.
+      Status shape = featgraph::ValidateGraph(g, advisor.extractor_.vertex_dim());
+      if (!shape.ok()) return Status::DataLoss("snapshot RCS " + shape.message());
       advisor.graphs_.push_back(std::move(g));
       advisor.labels_.push_back(label);
     }
@@ -1073,43 +965,25 @@ Result<AutoCe> AutoCe::FromSnapshotSections(
       *p = std::move(m);
     }
     AUTOCE_RETURN_NOT_OK(r.status());
-    advisor.trainer_ =
-        std::make_unique<gnn::DmlTrainer>(advisor.encoder_.get(), config.dml);
   }
 
   {
+    // The best checkpointed encoder while chunks run, empty afterwards;
+    // when present it must fit the encoder it is restored into.
     const auto* sec = FindSection(sections, kSecBest);
     BinaryReader r(sec->payload.data(), sec->payload.size());
     uint64_t count = r.ReadU64();
     AUTOCE_RETURN_NOT_OK(r.status());
+    auto params = advisor.encoder_->Params();
+    if (count != 0 && count != params.size()) {
+      return Status::DataLoss("snapshot best-encoder parameter count mismatch");
+    }
     for (uint64_t i = 0; i < count; ++i) {
       AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
+      if (!m.SameShape(*params[i])) {
+        return Status::DataLoss("snapshot best-encoder parameter shape mismatch");
+      }
       advisor.best_params_.push_back(std::move(m));
-    }
-  }
-
-  {
-    const auto* sec = FindSection(sections, kSecOptimizer);
-    BinaryReader r(sec->payload.data(), sec->payload.size());
-    uint64_t count = r.ReadU64();
-    AUTOCE_RETURN_NOT_OK(r.status());
-    nn::Adam::State state;
-    for (uint64_t i = 0; i < count; ++i) {
-      AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
-      state.m.push_back(std::move(m));
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
-      state.v.push_back(std::move(m));
-    }
-    state.t = r.ReadI64();
-    AUTOCE_RETURN_NOT_OK(r.status());
-    advisor.opt_state_ = std::move(state);
-    if (count > 0) {
-      // Restores the trainer's Adam moments for state-inspection parity.
-      // Resumed numerics never depend on this: the chunked schedule
-      // constructs a fresh optimizer per chunk.
-      (void)advisor.trainer_->ImportOptimizerState(advisor.opt_state_);
     }
   }
 
@@ -1130,6 +1004,10 @@ Result<AutoCe> AutoCe::FromSnapshotSections(
                               std::to_string(phase));
     }
     advisor.cursor_.phase = static_cast<FitPhase>(phase);
+    if (advisor.cursor_.phase == FitPhase::kChunk &&
+        advisor.best_params_.empty()) {
+      return Status::DataLoss("snapshot in chunk training has no best encoder");
+    }
     advisor.cursor_.trained_epochs = static_cast<int>(r.ReadI64());
     advisor.cursor_.best_err = r.ReadDouble();
     uint64_t vn = r.ReadU64();

@@ -191,12 +191,17 @@ class AutoCe {
   /// Number of labeled samples in the RCS.
   size_t RcsSize() const { return labels_.size(); }
 
-  /// Persists the fitted advisor (config, RCS graphs + labels, encoder
-  /// weights) to `path`; reload with Load(). Embeddings and the drift
-  /// threshold are recomputed on load.
+  /// Persists the fitted advisor to `path` as one snapshot generation:
+  /// the same CRC-framed sections SaveSnapshot commits, so a `.ace` file
+  /// is byte-identical to the store generation of the same state. The
+  /// write is atomic (temp file + rename); reload with Load().
   Status Save(const std::string& path) const;
 
-  /// Restores an advisor saved with Save().
+  /// Restores an advisor from a Save() file or any snapshot generation
+  /// file, bit-identical to the saved one (embeddings and the drift
+  /// threshold are recomputed). A corrupt or truncated file fails with
+  /// DataLoss; a file in the retired pre-snapshot `.ace` layout fails
+  /// with InvalidArgument.
   static Result<AutoCe> Load(const std::string& path);
 
   /// --- Crash-safe snapshots and resumable training ---
@@ -226,8 +231,9 @@ class AutoCe {
   Status EnableSnapshots(const std::string& dir,
                          util::SnapshotStoreOptions options = {});
 
-  /// Commits the advisor's complete state (config, RCS, encoder,
-  /// optimizer, RNG cursors, training cursor) as a new generation.
+  /// Commits the advisor's complete state (config, RCS, encoder, best
+  /// checkpointed encoder, RNG cursors, training cursor) as a new
+  /// generation.
   Status SaveSnapshot();
 
   /// Resumes an interrupted Fit: loads the newest good snapshot under
@@ -300,7 +306,6 @@ class AutoCe {
   AutoCeConfig config_;
   featgraph::FeatureExtractor extractor_;
   std::unique_ptr<gnn::GinEncoder> encoder_;
-  std::unique_ptr<gnn::DmlTrainer> trainer_;
   Rng rng_;
 
   // Recommendation candidate set.
@@ -325,8 +330,8 @@ class AutoCe {
   // Resumable-training state (persisted by snapshots).
   TrainCursor cursor_;
   Rng train_rng_{0};                     // DML training stream
-  std::vector<nn::Matrix> best_params_;  // best checkpointed encoder
-  nn::Adam::State opt_state_;            // last completed chunk's Adam state
+  /// Best checkpointed encoder during chunk training; empty afterwards.
+  std::vector<nn::Matrix> best_params_;
   std::unique_ptr<util::SnapshotStore> store_;
   /// Serialized RCS section, reused across checkpoints (the corpus only
   /// changes between fits / online updates, not between training chunks,

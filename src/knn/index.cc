@@ -14,9 +14,6 @@ namespace simd = ::autoce::util::simd;
 
 namespace {
 
-constexpr uint32_t kIndexMagic = 0x4B4E4E31;  // "KNN1"
-constexpr uint32_t kIndexVersion = 1;
-
 /// Deflation applied to the quantized lower bound before it is compared
 /// against the k-th candidate: the bound's derivation is exact in real
 /// arithmetic, but the code assignment and the bound kernel each round,
@@ -55,11 +52,11 @@ Index Index::Build(std::vector<std::vector<double>> points,
   }
   index.usable_count_ = static_cast<size_t>(
       std::count(index.usable_.begin(), index.usable_.end(), 1));
-  index.FinishBuild(/*derive_quant=*/true);
+  index.FinishBuild();
   return index;
 }
 
-void Index::FinishBuild(bool derive_quant) {
+void Index::FinishBuild() {
   dim_ = points_.empty() ? 0 : points_[0].size();
   flat_.resize(points_.size() * dim_);
   for (size_t i = 0; i < points_.size(); ++i) {
@@ -77,7 +74,7 @@ void Index::FinishBuild(bool derive_quant) {
     leaf_items_.reserve(ids.size());
     BuildNode(&ids, 0, ids.size());
   }
-  if (config_.backend == Backend::kQuantized && derive_quant) BuildQuant();
+  if (config_.backend == Backend::kQuantized) BuildQuant();
 }
 
 int32_t Index::BuildNode(std::vector<size_t>* ids, size_t begin, size_t end) {
@@ -336,83 +333,6 @@ std::vector<Neighbor> Index::Query(std::span<const double> query, size_t k,
     out.push_back(Neighbor{std::sqrt(c.sq), c.index});
   }
   return out;
-}
-
-void Index::Serialize(BinaryWriter* writer) const {
-  writer->WriteU32(kIndexMagic);
-  writer->WriteU32(kIndexVersion);
-  writer->WriteU32(static_cast<uint32_t>(config_.backend));
-  writer->WriteU32(static_cast<uint32_t>(config_.leaf_size));
-  writer->WriteU64(points_.size());
-  writer->WriteU64(dim_);
-  writer->WriteBytes(usable_.data(), usable_.size());
-  writer->WriteDoubles(flat_);
-  const uint32_t has_quant = codes_.empty() ? 0 : 1;
-  writer->WriteU32(has_quant);
-  if (has_quant != 0) {
-    writer->WriteDoubles(qmin_);
-    writer->WriteDoubles(qstep_);
-    writer->WriteBytes(codes_.data(), codes_.size());
-  }
-}
-
-Result<Index> Index::Deserialize(BinaryReader* reader) {
-  if (reader->ReadU32() != kIndexMagic) {
-    return Status::DataLoss("knn::Index: bad magic");
-  }
-  const uint32_t version = reader->ReadU32();
-  if (version != kIndexVersion) {
-    return Status::DataLoss("knn::Index: unsupported version");
-  }
-  Index index;
-  const uint32_t backend = reader->ReadU32();
-  if (backend > static_cast<uint32_t>(Backend::kQuantized)) {
-    return Status::DataLoss("knn::Index: unknown backend");
-  }
-  index.config_.backend = static_cast<Backend>(backend);
-  index.config_.leaf_size = static_cast<int>(reader->ReadU32());
-  const uint64_t rows = reader->ReadU64();
-  const uint64_t dim = reader->ReadU64();
-  if (!reader->status().ok()) return reader->status();
-  if (rows * dim > reader->remaining() / sizeof(double)) {
-    return Status::DataLoss("knn::Index: truncated member block");
-  }
-  index.usable_.resize(rows);
-  reader->ReadBytes(index.usable_.data(), rows);
-  std::vector<double> flat = reader->ReadDoubles();
-  if (!reader->status().ok()) return reader->status();
-  if (flat.size() != rows * dim) {
-    return Status::DataLoss("knn::Index: member block size mismatch");
-  }
-  index.points_.resize(rows);
-  for (uint64_t i = 0; i < rows; ++i) {
-    index.points_[i].assign(flat.begin() + static_cast<ptrdiff_t>(i * dim),
-                            flat.begin() +
-                                static_cast<ptrdiff_t>((i + 1) * dim));
-  }
-  index.usable_count_ = static_cast<size_t>(
-      std::count(index.usable_.begin(), index.usable_.end(), 1));
-  const uint32_t has_quant = reader->ReadU32();
-  bool derive_quant = index.config_.backend == Backend::kQuantized;
-  if (has_quant != 0) {
-    index.qmin_ = reader->ReadDoubles();
-    index.qstep_ = reader->ReadDoubles();
-    if (!reader->status().ok()) return reader->status();
-    if (index.qmin_.size() != dim || index.qstep_.size() != dim ||
-        reader->remaining() < rows * dim) {
-      return Status::DataLoss("knn::Index: bad quantization block");
-    }
-    index.qstep2_.resize(dim);
-    for (uint64_t d = 0; d < dim; ++d) {
-      index.qstep2_[d] = index.qstep_[d] * index.qstep_[d];
-    }
-    index.codes_.resize(rows * dim);
-    reader->ReadBytes(index.codes_.data(), index.codes_.size());
-    derive_quant = false;
-  }
-  if (!reader->status().ok()) return reader->status();
-  index.FinishBuild(derive_quant);
-  return index;
 }
 
 }  // namespace autoce::knn

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "nn/matrix.h"
-#include "util/result.h"
-#include "util/serde.h"
 
 namespace autoce::knn {
 
@@ -68,15 +66,14 @@ struct QueryStats {
 /// `(distance, index)` order — as the current k-th candidate.
 ///
 /// The quantized backend keeps an int8 copy of every stored embedding
-/// (per-dimension affine quantization; params live with the index and
-/// are serialized by `Serialize`). A query first scans the codes with
-/// `util::simd::QuantLowerBound` — a provable lower bound on the exact
-/// squared distance — then walks candidates in ascending (bound, index)
-/// order doing exact float re-ranks, stopping once the bound exceeds
-/// the current k-th squared distance. A candidate whose bound *equals*
-/// the k-th distance is still evaluated (an equal distance can win the
-/// index tie-break), so exactness holds by construction; see DESIGN.md
-/// §5.10.
+/// (per-dimension affine quantization derived at build time). A query
+/// first scans the codes with `util::simd::QuantLowerBound` — a provable
+/// lower bound on the exact squared distance — then walks candidates in
+/// ascending (bound, index) order doing exact float re-ranks, stopping
+/// once the bound exceeds the current k-th squared distance. A candidate
+/// whose bound *equals* the k-th distance is still evaluated (an equal
+/// distance can win the index tie-break), so exactness holds by
+/// construction; see DESIGN.md §5.10.
 class Index {
  public:
   Index() = default;
@@ -98,9 +95,6 @@ class Index {
   /// The member embeddings the index was built over.
   const std::vector<std::vector<double>>& points() const { return points_; }
 
-  /// Whether member `i` can be retrieved.
-  bool usable(size_t i) const { return usable_[i] != 0; }
-
   /// The k nearest usable members to `query` in `(distance, index)`
   /// order. `exclude` (optional) skips one member — leave-one-out
   /// queries; `allowed` (optional, size() entries) restricts retrieval
@@ -110,17 +104,6 @@ class Index {
                               size_t exclude = SIZE_MAX,
                               const std::vector<char>* allowed = nullptr,
                               QueryStats* stats = nullptr) const;
-
-  /// Writes the index — config, members, usable mask, and the
-  /// quantization params (per-dimension minima and steps plus the int8
-  /// codes) — to `writer`. The VP-tree is not written: its construction
-  /// is a pure function of (members, usable, config) and is rebuilt on
-  /// load, bit-identically.
-  void Serialize(BinaryWriter* writer) const;
-
-  /// Inverse of `Serialize`. The deserialized index reuses the stored
-  /// quantization params rather than re-deriving them.
-  static Result<Index> Deserialize(BinaryReader* reader);
 
  private:
   struct Node {
@@ -141,7 +124,7 @@ class Index {
 
   /// Flattens points_ into flat_/dim_ and builds the backend-specific
   /// structures (VP-tree nodes or quantization codes).
-  void FinishBuild(bool derive_quant);
+  void FinishBuild();
 
   int32_t BuildNode(std::vector<size_t>* ids, size_t begin, size_t end);
 

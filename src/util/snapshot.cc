@@ -90,6 +90,25 @@ Status SyncDir(const std::string& dir) {
   return Status::OK();
 }
 
+/// Appends the file image of one snapshot to `frame`: header, sections
+/// framed as `[name][u64 length][bytes][u32 crc32]`, trailer.
+void FrameSnapshot(const std::vector<SnapshotSection>& sections,
+                   BinaryWriter* frame) {
+  frame->WriteU32(kSnapMagic);
+  frame->WriteU32(kSnapVersion);
+  frame->WriteU64(sections.size());
+  for (const auto& s : sections) {
+    frame->WriteString(s.name);
+    frame->WriteU64(s.payload.size());
+    frame->WriteBytes(s.payload.data(), s.payload.size());
+    // The CRC chains over name + payload, so a flipped bit anywhere in
+    // the frame (not just the payload) fails verification.
+    uint32_t crc = Crc32(s.name.data(), s.name.size());
+    frame->WriteU32(Crc32(s.payload.data(), s.payload.size(), crc));
+  }
+  frame->WriteU32(kSnapTrailer);
+}
+
 }  // namespace
 
 uint32_t Crc32(const void* data, std::size_t n, uint32_t crc) {
@@ -248,7 +267,30 @@ Result<std::vector<SnapshotSection>> ReadSnapshotFile(
     if (!r.status().ok()) return r.status();
     return Status::DataLoss("missing snapshot trailer (truncated): " + path);
   }
+  if (r.remaining() != 0) {
+    return Status::DataLoss("trailing bytes after snapshot trailer: " + path);
+  }
   return sections;
+}
+
+Status WriteSnapshotFile(const std::string& path,
+                         const std::vector<SnapshotSection>& sections) {
+  if (sections.size() > kMaxSections) {
+    return Status::InvalidArgument("too many snapshot sections");
+  }
+  const std::string tmp = path + ".tmp";
+  BinaryWriter file(tmp);
+  FrameSnapshot(sections, &file);
+  Status st = file.Close();  // flushes and fsyncs
+  if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = Status::Internal("rename failed: " + tmp + " -> " + path);
+  }
+  if (!st.ok()) {
+    std::remove(tmp.c_str());
+    return st;
+  }
+  size_t slash = path.rfind('/');
+  return SyncDir(slash == std::string::npos ? "." : path.substr(0, slash + 1));
 }
 
 Result<SnapshotStore> SnapshotStore::Open(const std::string& dir,
@@ -405,19 +447,7 @@ Result<uint64_t> SnapshotStore::Commit(
   // plain chunks with a kill point between them (a deterministic torn
   // state for the recovery harness).
   BinaryWriter frame;
-  frame.WriteU32(kSnapMagic);
-  frame.WriteU32(kSnapVersion);
-  frame.WriteU64(sections.size());
-  for (const auto& s : sections) {
-    frame.WriteString(s.name);
-    frame.WriteU64(s.payload.size());
-    frame.WriteBytes(s.payload.data(), s.payload.size());
-    // The CRC chains over name + payload, so a flipped bit anywhere in
-    // the frame (not just the payload) fails verification.
-    uint32_t crc = Crc32(s.name.data(), s.name.size());
-    frame.WriteU32(Crc32(s.payload.data(), s.payload.size(), crc));
-  }
-  frame.WriteU32(kSnapTrailer);
+  FrameSnapshot(sections, &frame);
   const std::string& bytes = frame.buffer();
 
   if (options_.disk_budget_bytes > 0) {

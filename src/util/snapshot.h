@@ -27,10 +27,20 @@ struct SnapshotSection {
 };
 
 /// Parses a framed snapshot file. Every length is bounded by the bytes
-/// actually remaining, every payload is CRC-checked, and any mismatch
-/// returns `Status::DataLoss` — corrupt input can never OOM or crash.
+/// actually remaining, every payload is CRC-checked, a file holds
+/// exactly one snapshot (bytes after the trailer are corruption too), and
+/// any mismatch returns `Status::DataLoss` — corrupt input can never OOM
+/// or crash.
 Result<std::vector<SnapshotSection>> ReadSnapshotFile(
     const std::string& path);
+
+/// Writes `sections` to `path` as one standalone snapshot file, framed
+/// exactly like a store generation, so `ReadSnapshotFile` parses it. The
+/// write is atomic and durable — temp file, fsync, rename, directory
+/// fsync — so a crash leaves the previous file or the new one, never a
+/// torn one.
+Status WriteSnapshotFile(const std::string& path,
+                         const std::vector<SnapshotSection>& sections);
 
 /// \brief Deterministic process-abort hooks at named persistence sites.
 ///

@@ -75,6 +75,18 @@ void CopyFile(const std::string& from, const std::string& to) {
   ASSERT_EQ(std::fclose(out), 0);
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return {};
+  std::string out;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
 TEST(SnapshotResumeTest, SnapshottingDoesNotChangeTheFittedModel) {
   SmallCorpus corpus = MakeSmallCorpus(14, 11);
   AutoCe plain(SmallConfig());
@@ -162,6 +174,47 @@ TEST(SnapshotResumeTest, ResumeFromEveryGenerationReachesIdenticalModel) {
     EXPECT_EQ(resumed->ModelDigest(), baseline) << "generation " << g;
     EXPECT_EQ(resumed->train_cursor().phase, AutoCe::FitPhase::kDone);
   }
+}
+
+TEST(SnapshotResumeTest, AceFileIsTheFinalSnapshotGeneration) {
+  // One encoding: Save writes the bytes the store committed as the final
+  // generation, and either file restores the advisor through the other
+  // path (Load of a generation file, ResumeFit of a store seeded with
+  // the .ace).
+  SmallCorpus corpus = MakeSmallCorpus(14, 29);
+  std::string dir = FreshDir("ace_is_generation");
+  AutoCe advisor(SmallConfig());
+  ASSERT_TRUE(advisor.EnableSnapshots(dir).ok());
+  ASSERT_TRUE(advisor.Fit(corpus.graphs, corpus.labels).ok());
+  std::string ace = std::string(::testing::TempDir()) + "/generation.ace";
+  ASSERT_TRUE(advisor.Save(ace).ok());
+
+  auto store = util::SnapshotStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  auto final_gen = store->ManifestGeneration();
+  ASSERT_TRUE(final_gen.ok());
+  EXPECT_EQ(ReadFileBytes(ace),
+            ReadFileBytes(store->GenerationPath(*final_gen)));
+  // A finished fit carries no second encoder: `best` is an empty list.
+  auto sections = util::ReadSnapshotFile(ace);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  for (const auto& s : *sections) {
+    if (s.name == "best") EXPECT_EQ(s.payload, std::string(8, '\0'));
+  }
+
+  auto loaded = AutoCe::Load(store->GenerationPath(*final_gen));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->ModelDigest(), advisor.ModelDigest());
+
+  std::string seeded_dir = FreshDir("ace_seeded_store");
+  auto seeded = util::SnapshotStore::Open(seeded_dir);
+  ASSERT_TRUE(seeded.ok());
+  CopyFile(ace, seeded->GenerationPath(1));
+  auto resumed = AutoCe::ResumeFit(seeded_dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->ModelDigest(), advisor.ModelDigest());
+  EXPECT_EQ(resumed->train_cursor().phase, AutoCe::FitPhase::kDone);
+  std::remove(ace.c_str());
 }
 
 TEST(SnapshotResumeTest, PlainPathResumesFromInitialSnapshot) {

@@ -336,40 +336,6 @@ TEST(QuantizedKnnTest, LowerBoundPrunesFarCluster) {
   EXPECT_LT(stats.distance_evals, points.size());
 }
 
-TEST(QuantizedKnnTest, SerializeRoundTripPreservesQueryBits) {
-  auto points = RandomPoints(80, 12, 23);
-  std::vector<char> usable(points.size(), 1);
-  usable[5] = 0;
-  for (knn::Backend backend : {knn::Backend::kQuantized,
-                               knn::Backend::kVpTree,
-                               knn::Backend::kLinear}) {
-    knn::IndexConfig cfg;
-    cfg.backend = backend;
-    knn::Index index = knn::Index::Build(points, usable, cfg);
-    BinaryWriter writer;
-    index.Serialize(&writer);
-    ASSERT_TRUE(writer.status().ok());
-    BinaryReader reader(writer.buffer().data(), writer.buffer().size());
-    Result<knn::Index> loaded = knn::Index::Deserialize(&reader);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->size(), index.size());
-    EXPECT_EQ(loaded->usable_size(), index.usable_size());
-    auto queries = RandomPoints(6, 12, 29);
-    for (const auto& q : queries) {
-      ExpectSameNeighborBits(index.Query(q, 7), loaded->Query(q, 7),
-                             "serde roundtrip");
-      ExpectSameNeighborBits(index.Query(q, 7, 3), loaded->Query(q, 7, 3),
-                             "serde roundtrip with exclude");
-    }
-  }
-}
-
-TEST(QuantizedKnnTest, DeserializeRejectsGarbage) {
-  BinaryReader reader("not an index", 12);
-  Result<knn::Index> loaded = knn::Index::Deserialize(&reader);
-  EXPECT_FALSE(loaded.ok());
-}
-
 TEST(KnnFastPathTest, K1MatchesGeneralPathAndTieBreak) {
   auto points = RandomPoints(60, 10, 77);
   points[20] = points[4];  // duplicate: k=1 must return the smaller index

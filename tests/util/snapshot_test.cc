@@ -203,6 +203,28 @@ TEST(SnapshotStoreTest, CorruptionFuzzerAlwaysFallsBackToGoodGeneration) {
   WriteFileBytes(path, pristine);
 }
 
+TEST(SnapshotFileTest, StandaloneFileIsAStoreGeneration) {
+  // WriteSnapshotFile frames exactly like Commit, leaves no temp file
+  // behind, and ReadSnapshotFile refuses bytes past the trailer.
+  auto store = SnapshotStore::Open(TempStoreDir("snap_standalone"));
+  ASSERT_TRUE(store.ok());
+  auto sections = MakeSections("file");
+  auto gen = store->Commit(sections);
+  ASSERT_TRUE(gen.ok());
+  std::string path = store->dir() + "/standalone.probe";
+  ASSERT_TRUE(WriteSnapshotFile(path, sections).ok());
+  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(store->GenerationPath(*gen)));
+  struct stat st;
+  EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);
+  EXPECT_TRUE(ReadSnapshotFile(path).ok());
+
+  WriteFileBytes(path, ReadFileBytes(path) + '\0');
+  auto padded = ReadSnapshotFile(path);
+  ASSERT_FALSE(padded.ok());
+  EXPECT_EQ(padded.status().code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotStoreTest, OpenValidatesArguments) {
   EXPECT_FALSE(SnapshotStore::Open("").ok());
   SnapshotStoreOptions bad;

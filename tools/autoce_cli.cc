@@ -34,8 +34,10 @@
 // With --snapshot-dir, `train` commits a crash-safe snapshot at every
 // training checkpoint; after a crash (or kill -9), rerunning with
 // --resume continues from the last durable generation and produces the
-// same bits as an uninterrupted run. `inspect --snapshot-dir` prints
-// the store's generations and the sections of the newest good snapshot.
+// same bits as an uninterrupted run. A `.ace` file is one snapshot
+// generation (with --snapshot-dir, a copy of the final one). `inspect
+// --snapshot-dir` prints the store's generations and the sections of the
+// newest good snapshot.
 //
 // `serve` answers every .adat dataset under --data through the batched
 // advisor service (DESIGN.md §5.8): bounded admission, coalesced GIN
