@@ -153,7 +153,7 @@ void RunHistogramPhase(const data::Dataset& ds,
     auto plan = opt.Optimize(
         q, [&](const query::Query& sub) { return pg.EstimateCardinality(sub); });
     if (!plan.ok()) continue;
-    auto result = exec.Execute(q, **plan);
+    exec.Execute(q, **plan);
     totals->e2e_seconds += t.ElapsedSeconds();
     double cost = TrueCostOf(ds, **plan, q);
     totals->plan_cost += cost;

@@ -11,54 +11,14 @@ namespace autoce::adapt {
 
 namespace {
 
-uint64_t Fnv1a(const void* data, std::size_t n, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+/// `adapt.queue.depth`: pending items after the latest Offer or drain.
+obs::Gauge* DepthGauge() {
+  static obs::Gauge* const gauge =
+      obs::MetricsRegistry::Instance().GetGauge("adapt.queue.depth");
+  return gauge;
 }
-
-/// Queue instruments (DESIGN.md §5.9): counters mirror
-/// FeedbackQueueStats field for field; the gauge tracks depth().
-struct QueueMetrics {
-  obs::Counter* offered;
-  obs::Counter* admitted;
-  obs::Counter* deduped;
-  obs::Counter* evicted;
-  obs::Counter* rejected_full;
-  obs::Counter* rejected_fault;
-  obs::Counter* drained;
-  obs::Gauge* depth;
-  static const QueueMetrics& Get() {
-    static const QueueMetrics m = [] {
-      auto& reg = obs::MetricsRegistry::Instance();
-      return QueueMetrics{reg.GetCounter("adapt.queue.offered"),
-                          reg.GetCounter("adapt.queue.admitted"),
-                          reg.GetCounter("adapt.queue.deduped"),
-                          reg.GetCounter("adapt.queue.evicted"),
-                          reg.GetCounter("adapt.queue.rejected_full"),
-                          reg.GetCounter("adapt.queue.rejected_fault"),
-                          reg.GetCounter("adapt.queue.drained"),
-                          reg.GetGauge("adapt.queue.depth")};
-    }();
-    return m;
-  }
-};
 
 }  // namespace
-
-uint64_t GraphFingerprint(const featgraph::FeatureGraph& graph) {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
-  h = Fnv1a(graph.dataset_name.data(), graph.dataset_name.size(), h);
-  uint64_t dims[2] = {static_cast<uint64_t>(graph.vertices.rows()),
-                      static_cast<uint64_t>(graph.vertices.cols())};
-  h = Fnv1a(dims, sizeof(dims), h);
-  h = Fnv1a(graph.vertices.data(), graph.vertices.size() * sizeof(double), h);
-  h = Fnv1a(graph.edges.data(), graph.edges.size() * sizeof(double), h);
-  return h;
-}
 
 FeedbackQueue::FeedbackQueue(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -66,21 +26,17 @@ FeedbackQueue::FeedbackQueue(std::size_t capacity)
 Admission FeedbackQueue::Offer(data::Dataset dataset,
                                featgraph::FeatureGraph graph,
                                double distance) {
-  const QueueMetrics& metrics = QueueMetrics::Get();
-  uint64_t fingerprint = GraphFingerprint(graph);
+  uint64_t fingerprint = featgraph::GraphFingerprint(graph);
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.offered;
-  metrics.offered->Add();
+  counters_.offered.Add();
 
   if (util::FaultPoint(util::fault_sites::kAdaptEnqueue, fingerprint)) {
-    ++stats_.rejected_fault;
-    metrics.rejected_fault->Add();
+    counters_.rejected_fault.Add();
     return Admission::kRejectedFault;
   }
   for (const OodCandidate& pending : items_) {
     if (pending.fingerprint == fingerprint) {
-      ++stats_.deduped;
-      metrics.deduped->Add();
+      counters_.deduped.Add();
       return Admission::kDuplicate;
     }
   }
@@ -100,13 +56,11 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
       }
     }
     if (victim->distance >= distance) {
-      ++stats_.rejected_full;
-      metrics.rejected_full->Add();
+      counters_.rejected_full.Add();
       return Admission::kRejectedFull;
     }
     items_.erase(victim);
-    ++stats_.evicted;
-    metrics.evicted->Add();
+    counters_.evicted.Add();
     evicted = true;
   }
 
@@ -117,9 +71,8 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
   item.sequence = next_sequence_++;
   item.fingerprint = fingerprint;
   items_.push_back(std::move(item));
-  ++stats_.admitted;
-  metrics.admitted->Add();
-  metrics.depth->Set(static_cast<double>(items_.size()));
+  counters_.admitted.Add();
+  DepthGauge()->Set(static_cast<double>(items_.size()));
   // Crash window: the candidate is admitted but the queue is in-memory
   // by design — dying here loses pending feedback, never the durable
   // model (the recovery harness re-offers the stream on restart).
@@ -128,7 +81,6 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
 }
 
 std::vector<OodCandidate> FeedbackQueue::DrainBatch(std::size_t max_items) {
-  const QueueMetrics& metrics = QueueMetrics::Get();
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<OodCandidate> batch;
   // Drain in arrival order (the deque is sequence-sorted: eviction
@@ -139,9 +91,8 @@ std::vector<OodCandidate> FeedbackQueue::DrainBatch(std::size_t max_items) {
     batch.push_back(std::move(items_.front()));
     items_.pop_front();
   }
-  stats_.drained += n;
-  metrics.drained->Add(static_cast<int64_t>(n));
-  metrics.depth->Set(static_cast<double>(items_.size()));
+  counters_.drained.Add(n);
+  DepthGauge()->Set(static_cast<double>(items_.size()));
   return batch;
 }
 
@@ -151,8 +102,17 @@ std::size_t FeedbackQueue::depth() const {
 }
 
 FeedbackQueueStats FeedbackQueue::stats() const {
+  // Every counter moves under mu_, so holding it reads a consistent set.
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  FeedbackQueueStats out;
+  out.offered = counters_.offered.value();
+  out.admitted = counters_.admitted.value();
+  out.deduped = counters_.deduped.value();
+  out.evicted = counters_.evicted.value();
+  out.rejected_full = counters_.rejected_full.value();
+  out.rejected_fault = counters_.rejected_fault.value();
+  out.drained = counters_.drained.value();
+  return out;
 }
 
 }  // namespace autoce::adapt

@@ -8,15 +8,9 @@
 
 #include "data/dataset.h"
 #include "featgraph/featgraph.h"
+#include "obs/metrics.h"
 
 namespace autoce::adapt {
-
-/// FNV-1a fingerprint of a feature graph's content (name, shape,
-/// vertex/edge bytes). The adaptation loop keys everything on it:
-/// queue dedup, fault/kill decisions, per-item labeler seeds, and the
-/// replay dedup against the trainer's RCS — so every per-item decision
-/// is a pure function of the item, never of arrival position.
-uint64_t GraphFingerprint(const featgraph::FeatureGraph& graph);
 
 /// One out-of-distribution dataset waiting to be labeled and trained
 /// into the RCS. The dataset rides along because the testbed labels
@@ -28,7 +22,10 @@ struct OodCandidate {
   /// the admission priority (most-OOD feedback is the most valuable).
   double distance = 0.0;
   uint64_t sequence = 0;     ///< assigned by the queue: arrival order
-  uint64_t fingerprint = 0;  ///< assigned by the queue: GraphFingerprint
+  /// Assigned by the queue: featgraph::GraphFingerprint. Every per-item
+  /// decision of the adaptation loop keys on it, so none depends on
+  /// arrival position.
+  uint64_t fingerprint = 0;
 };
 
 /// Outcome of one Offer.
@@ -40,7 +37,8 @@ enum class Admission {
   kRejectedFault,    ///< injected `adapt.enqueue` fault; dropped
 };
 
-/// Backpressure counters since construction.
+/// Backpressure counters since construction. Each is also the
+/// `adapt.queue.<field>` registry counter (obs::StatCounter).
 struct FeedbackQueueStats {
   uint64_t offered = 0;
   uint64_t admitted = 0;   ///< includes admissions that evicted
@@ -90,7 +88,18 @@ class FeedbackQueue {
   mutable std::mutex mu_;
   std::deque<OodCandidate> items_;  // ascending sequence; guarded by mu_
   uint64_t next_sequence_ = 0;      // guarded by mu_
-  FeedbackQueueStats stats_;        // guarded by mu_
+
+  /// The FeedbackQueueStats counters.
+  struct Counters {
+    obs::StatCounter offered{"adapt.queue.offered"};
+    obs::StatCounter admitted{"adapt.queue.admitted"};
+    obs::StatCounter deduped{"adapt.queue.deduped"};
+    obs::StatCounter evicted{"adapt.queue.evicted"};
+    obs::StatCounter rejected_full{"adapt.queue.rejected_full"};
+    obs::StatCounter rejected_fault{"adapt.queue.rejected_fault"};
+    obs::StatCounter drained{"adapt.queue.drained"};
+  };
+  Counters counters_;
 };
 
 }  // namespace autoce::adapt

@@ -22,41 +22,6 @@ namespace autoce::adapt {
 
 namespace {
 
-/// Pipeline instruments (DESIGN.md §5.9): counters mirror
-/// AdaptationStats; `batch_ms` records each non-empty cycle.
-struct AdaptMetrics {
-  obs::Counter* batches;
-  obs::Counter* applied;
-  obs::Counter* deduped;
-  obs::Counter* quarantined;
-  obs::Counter* labels_sentinel;
-  obs::Counter* labels_budget_expired;
-  obs::Counter* label_retries;
-  obs::Counter* train_retries;
-  obs::Counter* commit_failures;
-  obs::Counter* generations;
-  obs::Counter* reloads;
-  obs::Histogram* batch_ms;
-  static const AdaptMetrics& Get() {
-    static const AdaptMetrics m = [] {
-      auto& reg = obs::MetricsRegistry::Instance();
-      return AdaptMetrics{reg.GetCounter("adapt.batches"),
-                          reg.GetCounter("adapt.items_applied"),
-                          reg.GetCounter("adapt.items_deduped"),
-                          reg.GetCounter("adapt.items_quarantined"),
-                          reg.GetCounter("adapt.labels_sentinel"),
-                          reg.GetCounter("adapt.labels_budget_expired"),
-                          reg.GetCounter("adapt.label_retries"),
-                          reg.GetCounter("adapt.train_retries"),
-                          reg.GetCounter("adapt.commit_failures"),
-                          reg.GetCounter("adapt.generations_committed"),
-                          reg.GetCounter("adapt.reloads_triggered"),
-                          reg.GetHistogram("adapt.batch_ms")};
-    }();
-    return m;
-  }
-};
-
 std::string QuarantineLogPath(const std::string& store_dir) {
   return store_dir + "/QUARANTINE.log";
 }
@@ -200,7 +165,7 @@ AdaptationPipeline::~AdaptationPipeline() { Stop(); }
 void AdaptationPipeline::RebuildRcsFingerprints() {
   rcs_fingerprints_.clear();
   for (const featgraph::FeatureGraph& graph : trainer_.rcs_graphs()) {
-    rcs_fingerprints_.insert(GraphFingerprint(graph));
+    rcs_fingerprints_.insert(featgraph::GraphFingerprint(graph));
   }
 }
 
@@ -236,7 +201,7 @@ Result<Offered> AdaptationPipeline::RequeueFromQuarantine(
     if (quarantine_set_.count(fingerprint) == 0) {
       return Status::NotFound("fingerprint is not quarantined");
     }
-    if (GraphFingerprint(graph) != fingerprint) {
+    if (featgraph::GraphFingerprint(graph) != fingerprint) {
       return Status::InvalidArgument(
           "requeue dataset does not fingerprint to the quarantined entry");
     }
@@ -283,7 +248,7 @@ void AdaptationPipeline::Backoff(uint64_t fingerprint, int attempt) {
   ms *= 1.0 + config_.backoff_jitter * rng.Uniform();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.backoff_ms_total += ms;
+    backoff_ms_total_ += ms;
   }
   if (sleep_fn_) sleep_fn_(ms);
 }
@@ -291,7 +256,6 @@ void AdaptationPipeline::Backoff(uint64_t fingerprint, int attempt) {
 Result<advisor::DatasetLabel> AdaptationPipeline::LabelWithRetries(
     const OodCandidate& item, const util::DeadlineBudget& budget) {
   obs::TraceSpan span("adapt.label");
-  const AdaptMetrics& metrics = AdaptMetrics::Get();
   // The labeler seed is attempt-independent: a retried item ends up
   // with the same label a first-try success would have produced.
   uint64_t label_seed = util::FaultKeyMix(config_.seed, item.fingerprint);
@@ -313,11 +277,7 @@ Result<advisor::DatasetLabel> AdaptationPipeline::LabelWithRetries(
     }
     if (attempt < config_.max_label_attempts) {
       if (budget.Exhausted()) continue;  // Check() above reports it
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.label_retries;
-      }
-      metrics.label_retries->Add();
+      counters_.label_retries.Add();
       Backoff(item.fingerprint, attempt);
     }
   }
@@ -328,7 +288,6 @@ void AdaptationPipeline::Quarantine(const OodCandidate& item,
                                     const char* stage,
                                     const std::string& reason,
                                     BatchReport* report) {
-  const AdaptMetrics& metrics = AdaptMetrics::Get();
   QuarantineRecord record;
   record.fingerprint = item.fingerprint;
   record.stage = stage;
@@ -342,12 +301,11 @@ void AdaptationPipeline::Quarantine(const OodCandidate& item,
                  record.stage.c_str(), record.reason.c_str());
     std::fclose(f);
   }
+  counters_.items_quarantined.Add();
+  ++report->quarantined;
   std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.items_quarantined;
   quarantine_set_.insert(record.fingerprint);
   quarantined_.push_back(std::move(record));
-  metrics.quarantined->Add();
-  ++report->quarantined;
 }
 
 Status AdaptationPipeline::ReloadTrainer() {
@@ -364,7 +322,6 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
                                      bool sentinel, BatchReport* report,
                                      bool* any_applied) {
   obs::TraceSpan span("adapt.train");
-  const AdaptMetrics& metrics = AdaptMetrics::Get();
 
   // The unit: the item itself plus (for trustworthy labels) a Mixup
   // interpolation toward its nearest RCS member — the paper's Eq. 14
@@ -399,11 +356,7 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
       train_status = Status::Internal("injected train fault (attempt " +
                                       std::to_string(attempt) + ")");
       if (attempt < config_.max_train_attempts) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.train_retries;
-        }
-        metrics.train_retries->Add();
+        counters_.train_retries.Add();
         Backoff(item.fingerprint, attempt);
       }
       continue;
@@ -438,11 +391,7 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
   auto manifest = verify_store_.ManifestGeneration();
   if (!manifest.ok() ||
       util::FaultPoint(util::fault_sites::kAdaptCommit, item.fingerprint)) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.commit_failures;
-    }
-    metrics.commit_failures->Add();
+    counters_.commit_failures.Add();
     AUTOCE_RETURN_NOT_OK(ReloadTrainer());
     Quarantine(item, "commit",
                manifest.ok() ? std::string("injected commit verification fault")
@@ -452,15 +401,10 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
   }
 
   for (const featgraph::FeatureGraph& graph : unit_graphs) {
-    rcs_fingerprints_.insert(GraphFingerprint(graph));
+    rcs_fingerprints_.insert(featgraph::GraphFingerprint(graph));
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.items_applied;
-    ++stats_.generations_committed;
-  }
-  metrics.applied->Add();
-  metrics.generations->Add();
+  counters_.items_applied.Add();
+  counters_.generations_committed.Add();
   ++report->applied;
   *any_applied = true;
   return Status::OK();
@@ -468,7 +412,6 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
 
 Result<BatchReport> AdaptationPipeline::RunOnce() {
   std::lock_guard<std::mutex> batch_lock(batch_mu_);
-  const AdaptMetrics& metrics = AdaptMetrics::Get();
   BatchReport report;
   {
     std::lock_guard<std::mutex> run_lock(run_mu_);
@@ -481,12 +424,8 @@ Result<BatchReport> AdaptationPipeline::RunOnce() {
 
   obs::TraceSpan span("adapt.batch");
   Timer timer;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.batches;
-    stats_.items_seen += batch.size();
-  }
-  metrics.batches->Add();
+  counters_.batches.Add();
+  counters_.items_seen.Add(batch.size());
 
   // Replay dedup, claimed against a snapshot FIXED at batch start:
   // items already trained into the RCS (this run or a pre-crash one)
@@ -583,34 +522,23 @@ Result<BatchReport> AdaptationPipeline::RunOnce() {
       bool skip =
           plan.dedup || rcs_fingerprints_.count(item.fingerprint) > 0;
       if (skip) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.items_deduped;
-        }
-        metrics.deduped->Add();
+        counters_.items_deduped.Add();
         ++report.deduped;
         continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        if (plan.sentinel) {
-          ++stats_.labels_sentinel;
-          if (plan.budget_expired) ++stats_.labels_budget_expired;
-        } else {
-          ++stats_.labels_ok;
-        }
       }
       if (plan.sentinel) {
         AUTOCE_LOG(Warning)
             << "adaptation item " << item.dataset.name()
             << " exhausted labeling retries, degrading to sentinel scores: "
             << plan.label_error.message();
-        metrics.labels_sentinel->Add();
+        counters_.labels_sentinel.Add();
         ++report.sentinel;
         if (plan.budget_expired) {
-          metrics.labels_budget_expired->Add();
+          counters_.labels_budget_expired.Add();
           ++report.budget_expired;
         }
+      } else {
+        counters_.labels_ok.Add();
       }
       AUTOCE_RETURN_NOT_OK(
           TrainUnit(item, plan.label, plan.sentinel, &report, &any_applied));
@@ -624,23 +552,20 @@ Result<BatchReport> AdaptationPipeline::RunOnce() {
   }
   if (any_applied && server_ != nullptr) {
     report.reload_attempted = true;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.reloads_triggered;
-    }
-    metrics.reloads->Add();
+    counters_.reloads_triggered.Add();
     Status reload = server_->Reload();
     report.reload_ok = reload.ok();
     if (!reload.ok()) {
       // Degraded, not fatal: the server keeps answering on its previous
       // generation; the next batch triggers another reload.
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.reload_failures;
+      counters_.reload_failures.Add();
       AUTOCE_LOG(Warning) << "post-batch server reload failed: "
                           << reload.message();
     }
   }
-  metrics.batch_ms->Observe(timer.ElapsedMillis());
+  static obs::Histogram* const batch_ms =
+      obs::MetricsRegistry::Instance().GetHistogram("adapt.batch_ms");
+  batch_ms->Observe(timer.ElapsedMillis());
   return report;
 }
 
@@ -702,8 +627,24 @@ void AdaptationPipeline::WorkerLoop() {
 }
 
 AdaptationStats AdaptationPipeline::stats() const {
+  AdaptationStats out;
+  out.batches = counters_.batches.value();
+  out.items_seen = counters_.items_seen.value();
+  out.items_applied = counters_.items_applied.value();
+  out.items_deduped = counters_.items_deduped.value();
+  out.items_quarantined = counters_.items_quarantined.value();
+  out.labels_ok = counters_.labels_ok.value();
+  out.labels_sentinel = counters_.labels_sentinel.value();
+  out.labels_budget_expired = counters_.labels_budget_expired.value();
+  out.label_retries = counters_.label_retries.value();
+  out.train_retries = counters_.train_retries.value();
+  out.commit_failures = counters_.commit_failures.value();
+  out.generations_committed = counters_.generations_committed.value();
+  out.reloads_triggered = counters_.reloads_triggered.value();
+  out.reload_failures = counters_.reload_failures.value();
   std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  out.backoff_ms_total = backoff_ms_total_;
+  return out;
 }
 
 std::vector<uint64_t> AdaptationPipeline::quarantined() const {

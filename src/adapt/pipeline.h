@@ -13,6 +13,7 @@
 #include "adapt/feedback_queue.h"
 #include "advisor/autoce.h"
 #include "ce/testbed.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "util/budget.h"
 #include "util/result.h"
@@ -76,7 +77,8 @@ struct AdaptationConfig {
   ce::TestbedConfig testbed;
 };
 
-/// Cumulative pipeline counters since Open.
+/// Cumulative pipeline counters since Open. Each counter is also the
+/// `adapt.<field>` registry counter (obs::StatCounter).
 struct AdaptationStats {
   uint64_t batches = 0;
   uint64_t items_seen = 0;         ///< drained out of the queue
@@ -300,12 +302,31 @@ class AdaptationPipeline {
   util::SnapshotStore verify_store_;      // guarded by run_mu_
   std::unordered_set<uint64_t> rcs_fingerprints_;  // guarded by run_mu_
 
-  /// Guards the counters and the quarantine list (readable while a
-  /// batch runs).
+  /// Guards the backoff total and the quarantine list (readable while
+  /// a batch runs).
   mutable std::mutex stats_mu_;
-  AdaptationStats stats_;                  // guarded by stats_mu_
+  double backoff_ms_total_ = 0.0;                // guarded by stats_mu_
   std::vector<QuarantineRecord> quarantined_;    // guarded by stats_mu_
   std::unordered_set<uint64_t> quarantine_set_;  // guarded by stats_mu_
+
+  /// The AdaptationStats counters.
+  struct Counters {
+    obs::StatCounter batches{"adapt.batches"};
+    obs::StatCounter items_seen{"adapt.items_seen"};
+    obs::StatCounter items_applied{"adapt.items_applied"};
+    obs::StatCounter items_deduped{"adapt.items_deduped"};
+    obs::StatCounter items_quarantined{"adapt.items_quarantined"};
+    obs::StatCounter labels_ok{"adapt.labels_ok"};
+    obs::StatCounter labels_sentinel{"adapt.labels_sentinel"};
+    obs::StatCounter labels_budget_expired{"adapt.labels_budget_expired"};
+    obs::StatCounter label_retries{"adapt.label_retries"};
+    obs::StatCounter train_retries{"adapt.train_retries"};
+    obs::StatCounter commit_failures{"adapt.commit_failures"};
+    obs::StatCounter generations_committed{"adapt.generations_committed"};
+    obs::StatCounter reloads_triggered{"adapt.reloads_triggered"};
+    obs::StatCounter reload_failures{"adapt.reload_failures"};
+  };
+  Counters counters_;
 
   mutable std::mutex worker_mu_;
   std::condition_variable worker_cv_;

@@ -1,6 +1,7 @@
 #ifndef AUTOCE_FEATGRAPH_FEATGRAPH_H_
 #define AUTOCE_FEATGRAPH_FEATGRAPH_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,13 @@ struct FeatureGraph {
 
   int NumVertices() const { return static_cast<int>(vertices.rows()); }
 };
+
+/// FNV-1a fingerprint of a feature graph's content (name, shape,
+/// vertex/edge bytes). The serving embedding cache and the adaptation
+/// loop key on it: queue dedup, fault/kill decisions, per-item labeler
+/// seeds, the replay dedup against the trainer's RCS, and the
+/// persisted `QUARANTINE.log`, so its values must never change.
+uint64_t GraphFingerprint(const FeatureGraph& graph);
 
 /// \brief Extracts feature graphs from datasets (paper Sec. V-A).
 ///

@@ -10,54 +10,6 @@
 
 namespace autoce::fss {
 
-namespace {
-
-/// Snapshot section holding the serialized knowledge store.
-
-/// `fss.*` instruments, resolved once (obs/metrics.h interning).
-struct FssMetrics {
-  obs::Counter* lookups;
-  obs::Counter* knowledge_hits;
-  obs::Counter* cache_hits;
-  obs::Counter* model_estimates;
-  obs::Counter* fallbacks;
-  obs::Counter* evictions;
-  obs::Counter* collisions;
-  obs::Counter* feedback;
-  obs::Counter* commits;
-  obs::Counter* commit_failures;
-  obs::Counter* age_evictions;
-  obs::Counter* drift_disagreements;
-  obs::Gauge* epoch;
-  obs::Histogram* lookup_latency_ms;
-
-  static FssMetrics& Get() {
-    static FssMetrics m;
-    return m;
-  }
-
- private:
-  FssMetrics() {
-    auto& reg = obs::MetricsRegistry::Instance();
-    lookups = reg.GetCounter("fss.lookups");
-    knowledge_hits = reg.GetCounter("fss.knowledge_hits");
-    cache_hits = reg.GetCounter("fss.cache_hits");
-    model_estimates = reg.GetCounter("fss.model_estimates");
-    fallbacks = reg.GetCounter("fss.fallbacks");
-    evictions = reg.GetCounter("fss.evictions");
-    collisions = reg.GetCounter("fss.collisions");
-    feedback = reg.GetCounter("fss.feedback");
-    commits = reg.GetCounter("fss.commits");
-    commit_failures = reg.GetCounter("fss.commit_failures");
-    age_evictions = reg.GetCounter("fss.age_evictions");
-    drift_disagreements = reg.GetCounter("fss.drift_disagreements");
-    epoch = reg.GetGauge("fss.epoch");
-    lookup_latency_ms = reg.GetHistogram("fss.lookup_latency_ms");
-  }
-};
-
-}  // namespace
-
 EstimatorService::EstimatorService(
     const std::string& store_dir,
     std::unique_ptr<ce::CardinalityEstimator> model,
@@ -118,9 +70,7 @@ std::optional<double> EstimatorService::CacheLookup(const FssKey& key) {
   auto it = shard.entries.find(key.literal_hash);
   if (it == shard.entries.end()) return std::nullopt;
   if (it->second.first != key.signature) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.collisions;
-    FssMetrics::Get().collisions->Add();
+    counters_.collisions.Add();
     return std::nullopt;
   }
   return it->second.second;
@@ -141,9 +91,7 @@ void EstimatorService::CacheInsert(const FssKey& key, double estimate) {
   while (shard.entries.size() >= shard_capacity_ && !shard.fifo.empty()) {
     shard.entries.erase(shard.fifo.front());
     shard.fifo.pop_front();
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.evictions;
-    FssMetrics::Get().evictions->Add();
+    counters_.evictions.Add();
   }
   shard.entries.emplace(key.literal_hash,
                         std::make_pair(key.signature, estimate));
@@ -151,35 +99,28 @@ void EstimatorService::CacheInsert(const FssKey& key, double estimate) {
 }
 
 double EstimatorService::EstimateSubplan(const query::Query& q) {
+  static obs::Histogram* const lookup_latency_ms =
+      obs::MetricsRegistry::Instance().GetHistogram("fss.lookup_latency_ms");
   Timer timer;
-  auto& metrics = FssMetrics::Get();
-  metrics.lookups->Add();
+  counters_.lookups.Add();
   FssKey key = MakeFssKey(q);
   auto done = [&](double answer) {
-    metrics.lookup_latency_ms->Observe(timer.ElapsedMillis());
+    lookup_latency_ms->Observe(timer.ElapsedMillis());
     return answer;
   };
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.lookups;
-  }
 
   // Tier 1: corrected knowledge (observed true cardinalities).
   {
     std::lock_guard<std::mutex> lock(knowledge_mu_);
     if (auto hit = knowledge_.Lookup(key)) {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.knowledge_hits;
-      metrics.knowledge_hits->Add();
+      counters_.knowledge_hits.Add();
       return done(*hit);
     }
   }
 
   // Tier 2: cached model estimates.
   if (auto hit = CacheLookup(key)) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.cache_hits;
-    metrics.cache_hits->Add();
+    counters_.cache_hits.Add();
     return done(*hit);
   }
 
@@ -201,20 +142,14 @@ double EstimatorService::EstimateSubplan(const query::Query& q) {
   }
   if (!degraded && have_model && std::isfinite(estimate) && estimate >= 0.0) {
     CacheInsert(key, estimate);
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.model_estimates;
-    metrics.model_estimates->Add();
+    counters_.model_estimates.Add();
     return done(estimate);
   }
 
   // Fallback tier: the histogram baseline (never cached, so a transient
   // degradation cannot freeze a degraded answer in).
   double fallback = histogram_.EstimateCardinality(q);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.fallbacks;
-    metrics.fallbacks->Add();
-  }
+  counters_.fallbacks.Add();
   return done(fallback);
 }
 
@@ -233,11 +168,7 @@ void EstimatorService::ObserveTrueCardinality(const query::Query& q,
     knowledge_.Observe(key, static_cast<double>(rows));
   }
   if (check_drift && !prior.has_value()) prior = CacheLookup(key);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.feedback;
-    FssMetrics::Get().feedback->Add();
-  }
+  counters_.feedback.Add();
   if (!check_drift || !prior.has_value()) return;
   // Log-ratio disagreement between what we would have served and the
   // observed truth; +1 keeps empty subplans finite.
@@ -249,11 +180,7 @@ void EstimatorService::ObserveTrueCardinality(const query::Query& q,
     std::lock_guard<std::mutex> lock(hook_mu_);
     hook = disagreement_hook_;
   }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.drift_disagreements;
-    FssMetrics::Get().drift_disagreements->Add();
-  }
+  counters_.drift_disagreements.Add();
   if (hook) hook(q, err);  // outside every service lock
 }
 
@@ -262,6 +189,7 @@ std::size_t EstimatorService::NotifyEpoch(uint64_t epoch) {
   {
     std::lock_guard<std::mutex> lock(knowledge_mu_);
     knowledge_.set_epoch(epoch);
+    epoch_ = epoch;
     if (options_.max_age_epochs > 0 && epoch > options_.max_age_epochs) {
       evicted = knowledge_.EvictOlderThan(epoch - options_.max_age_epochs);
     }
@@ -269,14 +197,10 @@ std::size_t EstimatorService::NotifyEpoch(uint64_t epoch) {
   // Cached model estimates describe the pre-mutation data distribution;
   // drop them so the next lookup re-estimates against current state.
   ClearCache();
-  auto& metrics = FssMetrics::Get();
-  metrics.epoch->Set(static_cast<double>(epoch));
-  if (evicted > 0) {
-    metrics.age_evictions->Add(static_cast<int64_t>(evicted));
-  }
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  stats_.epoch = epoch;
-  stats_.age_evictions += evicted;
+  static obs::Gauge* const epoch_gauge =
+      obs::MetricsRegistry::Instance().GetGauge("fss.epoch");
+  epoch_gauge->Set(static_cast<double>(epoch));
+  counters_.age_evictions.Add(evicted);
   return evicted;
 }
 
@@ -299,9 +223,7 @@ Status EstimatorService::CommitKnowledge() {
     payload = knowledge_.Serialize();
   }
   auto fail = [&](Status status) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.commit_failures;
-    FssMetrics::Get().commit_failures->Add();
+    counters_.commit_failures.Add();
     return status;
   };
   // Content-derived key: the same knowledge commits (or faults) the
@@ -315,9 +237,7 @@ Status EstimatorService::CommitKnowledge() {
   sections.push_back({kKnowledgeSection, std::move(payload)});
   auto generation = store_->Commit(sections);
   if (!generation.ok()) return fail(generation.status());
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  ++stats_.commits;
-  FssMetrics::Get().commits->Add();
+  counters_.commits.Add();
   return Status::OK();
 }
 
@@ -336,18 +256,24 @@ void EstimatorService::ClearCache() {
 }
 
 ServiceStats EstimatorService::stats() const {
-  uint64_t entries = 0, subspaces = 0, knowledge_collisions = 0;
-  {
-    std::lock_guard<std::mutex> lock(knowledge_mu_);
-    entries = knowledge_.size();
-    subspaces = knowledge_.num_subspaces();
-    knowledge_collisions = knowledge_.collisions();
-  }
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  ServiceStats out = stats_;
-  out.knowledge_entries = entries;
-  out.knowledge_subspaces = subspaces;
-  out.collisions += knowledge_collisions;
+  ServiceStats out;
+  out.lookups = counters_.lookups.value();
+  out.knowledge_hits = counters_.knowledge_hits.value();
+  out.cache_hits = counters_.cache_hits.value();
+  out.model_estimates = counters_.model_estimates.value();
+  out.fallbacks = counters_.fallbacks.value();
+  out.evictions = counters_.evictions.value();
+  out.collisions = counters_.collisions.value();
+  out.feedback = counters_.feedback.value();
+  out.commits = counters_.commits.value();
+  out.commit_failures = counters_.commit_failures.value();
+  out.age_evictions = counters_.age_evictions.value();
+  out.drift_disagreements = counters_.drift_disagreements.value();
+  std::lock_guard<std::mutex> lock(knowledge_mu_);
+  out.knowledge_entries = knowledge_.size();
+  out.knowledge_subspaces = knowledge_.num_subspaces();
+  out.collisions += knowledge_.collisions();
+  out.epoch = epoch_;
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include "engine/plan_executor.h"
 #include "fss/fss_hash.h"
 #include "fss/knowledge_store.h"
+#include "obs/metrics.h"
 #include "util/result.h"
 #include "util/snapshot.h"
 
@@ -49,7 +50,9 @@ struct EstimatorServiceOptions {
   double drift_disagreement_threshold = 0.0;
 };
 
-/// Cumulative service counters since Open (mirrored as `fss.*` metrics).
+/// Cumulative service counters since Open. Each counter is also the
+/// `fss.<field>` registry counter (obs::StatCounter); `collisions` adds
+/// the knowledge store's own count at read time.
 struct ServiceStats {
   uint64_t lookups = 0;           ///< EstimateSubplan calls
   uint64_t knowledge_hits = 0;    ///< answered from observed true cards
@@ -188,12 +191,27 @@ class EstimatorService : public engine::CardinalitySource {
 
   mutable std::mutex knowledge_mu_;
   KnowledgeStore knowledge_;  // guarded by knowledge_mu_
+  uint64_t epoch_ = 0;        // last NotifyEpoch; guarded by knowledge_mu_
 
   std::size_t shard_capacity_ = 0;
   std::vector<std::unique_ptr<CacheShard>> shards_;
 
-  mutable std::mutex stats_mu_;
-  ServiceStats stats_;  // guarded by stats_mu_
+  /// The ServiceStats counters.
+  struct Counters {
+    obs::StatCounter lookups{"fss.lookups"};
+    obs::StatCounter knowledge_hits{"fss.knowledge_hits"};
+    obs::StatCounter cache_hits{"fss.cache_hits"};
+    obs::StatCounter model_estimates{"fss.model_estimates"};
+    obs::StatCounter fallbacks{"fss.fallbacks"};
+    obs::StatCounter evictions{"fss.evictions"};
+    obs::StatCounter collisions{"fss.collisions"};
+    obs::StatCounter feedback{"fss.feedback"};
+    obs::StatCounter commits{"fss.commits"};
+    obs::StatCounter commit_failures{"fss.commit_failures"};
+    obs::StatCounter age_evictions{"fss.age_evictions"};
+    obs::StatCounter drift_disagreements{"fss.drift_disagreements"};
+  };
+  Counters counters_;
 
   mutable std::mutex hook_mu_;
   DriftDisagreementHook disagreement_hook_;  // guarded by hook_mu_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "util/logging.h"
 #include "util/simd.h"
@@ -13,15 +12,6 @@ namespace autoce::knn {
 namespace simd = ::autoce::util::simd;
 
 namespace {
-
-/// Deflation applied to the quantized lower bound before it is compared
-/// against the k-th candidate: the bound's derivation is exact in real
-/// arithmetic, but the code assignment and the bound kernel each round,
-/// so the computed bound can exceed the true one by a relative error on
-/// the order of dim * 2^-52 plus ~6e-11 from the code rounding. 1e-9
-/// dominates both by orders of magnitude, is identical at every
-/// dispatch level, and costs a vanishing amount of pruning.
-constexpr double kBoundSlack = 1.0 - 1e-9;
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -74,7 +64,6 @@ void Index::FinishBuild() {
     leaf_items_.reserve(ids.size());
     BuildNode(&ids, 0, ids.size());
   }
-  if (config_.backend == Backend::kQuantized) BuildQuant();
 }
 
 int32_t Index::BuildNode(std::vector<size_t>* ids, size_t begin, size_t end) {
@@ -99,8 +88,8 @@ int32_t Index::BuildNode(std::vector<size_t>* ids, size_t begin, size_t end) {
   size_t pivot = (*ids)[begin];
 
   // Median split of the remaining members by (distance-to-pivot, id);
-  // the id tie-break makes the partition unique. Distances come from
-  // the batched kernel over the contiguous member copies.
+  // the id tie-break makes the partition unique. Distances are read
+  // from the contiguous member copies.
   std::vector<std::pair<double, size_t>> dist;
   dist.reserve(n - 1);
   const double* pivot_row = flat_.data() + pivot * dim_;
@@ -126,46 +115,6 @@ int32_t Index::BuildNode(std::vector<size_t>* ids, size_t begin, size_t end) {
   nodes_[static_cast<size_t>(node_id)].inside = inside;
   nodes_[static_cast<size_t>(node_id)].outside = outside;
   return node_id;
-}
-
-void Index::BuildQuant() {
-  qmin_.assign(dim_, 0.0);
-  qstep_.assign(dim_, 0.0);
-  qstep2_.assign(dim_, 0.0);
-  codes_.assign(points_.size() * dim_, 0);
-  if (dim_ == 0 || points_.empty()) return;
-  std::vector<double> lo(dim_, std::numeric_limits<double>::infinity());
-  std::vector<double> hi(dim_, -std::numeric_limits<double>::infinity());
-  for (size_t i = 0; i < points_.size(); ++i) {
-    if (!usable_[i]) continue;
-    const double* row = flat_.data() + i * dim_;
-    for (size_t d = 0; d < dim_; ++d) {
-      if (!std::isfinite(row[d])) continue;
-      lo[d] = std::min(lo[d], row[d]);
-      hi[d] = std::max(hi[d], row[d]);
-    }
-  }
-  for (size_t d = 0; d < dim_; ++d) {
-    if (!(lo[d] <= hi[d])) continue;  // no finite values in this dim
-    qmin_[d] = lo[d];
-    double step = (hi[d] - lo[d]) / 255.0;
-    // A zero (degenerate dim) or non-finite (range overflow) step gets
-    // weight zero: the bound contributes nothing there — looser, never
-    // invalid.
-    if (!std::isfinite(step)) step = 0.0;
-    qstep_[d] = step;
-    qstep2_[d] = step * step;
-  }
-  for (size_t i = 0; i < points_.size(); ++i) {
-    const double* row = flat_.data() + i * dim_;
-    uint8_t* code = codes_.data() + i * dim_;
-    for (size_t d = 0; d < dim_; ++d) {
-      if (qstep_[d] <= 0.0 || !std::isfinite(row[d])) continue;
-      double t = (row[d] - qmin_[d]) / qstep_[d];
-      int c = static_cast<int>(t + 0.5);
-      code[d] = static_cast<uint8_t>(std::clamp(c, 0, 255));
-    }
-  }
 }
 
 void Index::Offer(size_t i, double sq, size_t k,
@@ -233,56 +182,6 @@ void Index::SearchNode(int32_t node_id, std::span<const double> query,
   if (visit_far) SearchNode(far, query, k, exclude, allowed, best, stats);
 }
 
-void Index::QueryQuantized(std::span<const double> query, size_t k,
-                           size_t exclude, const std::vector<char>* allowed,
-                           std::vector<Candidate>* best,
-                           QueryStats* stats) const {
-  const size_t rows = points_.size();
-  // Encode the query with the stored params, clamped to the code range:
-  // for an out-of-range coordinate the nearest lattice boundary is
-  // still at least as close to every member as the query is, so the
-  // bound stays valid (DESIGN.md §5.10).
-  std::vector<uint8_t> qcode(dim_, 0);
-  for (size_t d = 0; d < dim_; ++d) {
-    if (qstep_[d] <= 0.0) continue;
-    double t = (query[d] - qmin_[d]) / qstep_[d];
-    int c = static_cast<int>(t + 0.5);
-    qcode[d] = static_cast<uint8_t>(std::clamp(c, 0, 255));
-  }
-  std::vector<double> lb(rows);
-  simd::QuantLowerBound(qcode.data(), codes_.data(), qstep2_.data(), rows,
-                        dim_, lb.data());
-  // Best-first candidate walk in ascending (bound, index) order via a
-  // min-heap — the walk usually stops after a handful of exact
-  // re-ranks, so a full sort of the bounds would dominate the query.
-  // Heap pops are deterministic here because every (bound, index) key
-  // is distinct. The walk re-ranks until the deflated bound passes the
-  // k-th squared distance; a bound *equal* to the k-th distance is
-  // still evaluated — an equal exact distance can win the index
-  // tie-break.
-  auto after = [&lb](uint32_t a, uint32_t b) {
-    return lb[a] > lb[b] || (lb[a] == lb[b] && a > b);
-  };
-  std::vector<uint32_t> heap(rows);
-  std::iota(heap.begin(), heap.end(), 0);
-  std::make_heap(heap.begin(), heap.end(), after);
-  size_t remaining = rows;
-  while (remaining > 0) {
-    std::pop_heap(heap.begin(),
-                  heap.begin() + static_cast<ptrdiff_t>(remaining), after);
-    const uint32_t i = heap[--remaining];
-    if (!usable_[i] || i == exclude) continue;
-    if (allowed != nullptr && !(*allowed)[i]) continue;
-    if (best->size() == k && lb[i] * kBoundSlack > best->back().sq) {
-      if (stats != nullptr) stats->lb_prunes += remaining + 1;
-      break;
-    }
-    if (stats != nullptr) ++stats->distance_evals;
-    Offer(i, simd::SquaredL2(query.data(), flat_.data() + i * dim_, dim_), k,
-          best);
-  }
-}
-
 std::vector<Neighbor> Index::Query(std::span<const double> query, size_t k,
                                    size_t exclude,
                                    const std::vector<char>* allowed,
@@ -298,27 +197,6 @@ std::vector<Neighbor> Index::Query(std::span<const double> query, size_t k,
   best.reserve(k + 1);
   if (config_.backend == Backend::kVpTree && !nodes_.empty()) {
     SearchNode(0, query, k, exclude, allowed, &best, stats);
-  } else if (config_.backend == Backend::kQuantized) {
-    QueryQuantized(query, k, exclude, allowed, &best, stats);
-  } else if (k == 1 && allowed == nullptr &&
-             usable_count_ == points_.size()) {
-    // Drift-check fast path: single batched scan, scalar running best,
-    // no per-candidate finiteness revalidation or sorted inserts. The
-    // ascending walk makes "strictly smaller" the whole tie-break rule.
-    std::vector<double> sq(points_.size());
-    simd::SquaredL2Batch(query.data(), flat_.data(), points_.size(), dim_,
-                         sq.data());
-    double best_sq = std::numeric_limits<double>::infinity();
-    size_t best_idx = SIZE_MAX;
-    for (size_t i = 0; i < sq.size(); ++i) {
-      if (i == exclude) continue;
-      if (stats != nullptr) ++stats->distance_evals;
-      if (sq[i] < best_sq) {
-        best_sq = sq[i];
-        best_idx = i;
-      }
-    }
-    if (best_idx != SIZE_MAX) best.push_back(Candidate{best_sq, best_idx});
   } else {
     for (size_t i = 0; i < points_.size(); ++i) {
       if (!usable_[i] || i == exclude) continue;

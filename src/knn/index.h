@@ -16,12 +16,11 @@ struct Neighbor {
   size_t index = 0;
 };
 
-/// Search backend. All three are *exact* and return bit-identical
-/// neighbor lists; they only differ in how much work a query does.
+/// Search backend. Both are *exact* and return bit-identical neighbor
+/// lists; they only differ in how much work a query does.
 enum class Backend {
-  kLinear,     ///< scan every usable member (the reference path)
-  kVpTree,     ///< vantage-point tree with triangle-inequality pruning
-  kQuantized,  ///< int8 candidate tier + exact float re-rank
+  kLinear,  ///< scan every usable member (the reference path)
+  kVpTree,  ///< vantage-point tree with triangle-inequality pruning
 };
 
 struct IndexConfig {
@@ -35,9 +34,6 @@ struct IndexConfig {
 struct QueryStats {
   size_t distance_evals = 0;  ///< exact float distance evaluations
   size_t nodes_visited = 0;
-  /// Members the quantized tier's lower bound excluded without an exact
-  /// evaluation (kQuantized only).
-  size_t lb_prunes = 0;
 };
 
 /// \brief Deterministic exact K-nearest-neighbor index over embeddings.
@@ -64,16 +60,6 @@ struct QueryStats {
 /// a subtree is pruned only when the triangle inequality proves it
 /// cannot contain a neighbor at least as good — under the same
 /// `(distance, index)` order — as the current k-th candidate.
-///
-/// The quantized backend keeps an int8 copy of every stored embedding
-/// (per-dimension affine quantization derived at build time). A query
-/// first scans the codes with `util::simd::QuantLowerBound` — a provable
-/// lower bound on the exact squared distance — then walks candidates in
-/// ascending (bound, index) order doing exact float re-ranks, stopping
-/// once the bound exceeds the current k-th squared distance. A candidate
-/// whose bound *equals* the k-th distance is still evaluated (an equal
-/// distance can win the index tie-break), so exactness holds by
-/// construction; see DESIGN.md §5.10.
 class Index {
  public:
   Index() = default;
@@ -122,23 +108,15 @@ class Index {
     size_t index = 0;
   };
 
-  /// Flattens points_ into flat_/dim_ and builds the backend-specific
-  /// structures (VP-tree nodes or quantization codes).
+  /// Flattens points_ into flat_/dim_ and builds the VP-tree nodes when
+  /// that backend is selected.
   void FinishBuild();
 
   int32_t BuildNode(std::vector<size_t>* ids, size_t begin, size_t end);
 
-  /// Derives per-dimension affine int8 params over finite coordinates
-  /// of usable members, then encodes every member.
-  void BuildQuant();
-
   void SearchNode(int32_t node_id, std::span<const double> query, size_t k,
                   size_t exclude, const std::vector<char>* allowed,
                   std::vector<Candidate>* best, QueryStats* stats) const;
-
-  void QueryQuantized(std::span<const double> query, size_t k, size_t exclude,
-                      const std::vector<char>* allowed,
-                      std::vector<Candidate>* best, QueryStats* stats) const;
 
   /// Offers member `i` at squared distance `sq` to the running k-best
   /// list (lexicographic (sq, index) order; non-finite rejected).
@@ -159,11 +137,6 @@ class Index {
   std::vector<double> flat_;
   std::vector<Node> nodes_;        // [0] is the root when non-empty
   std::vector<size_t> leaf_items_;
-  // Quantization params (kQuantized): x ~ qmin_[d] + qstep_[d] * code.
-  std::vector<double> qmin_;
-  std::vector<double> qstep_;
-  std::vector<double> qstep2_;     ///< qstep_[d]^2, the bound weights
-  std::vector<uint8_t> codes_;     ///< size() * dim_, row-major
 };
 
 }  // namespace autoce::knn

@@ -81,31 +81,4 @@ void Adam::Step() {
   }
 }
 
-Adam::State Adam::ExportState() const {
-  State state;
-  state.m = m_;
-  state.v = v_;
-  state.t = t_;
-  return state;
-}
-
-Status Adam::ImportState(const State& state) {
-  if (state.m.size() != params_.size() || state.v.size() != params_.size()) {
-    return Status::InvalidArgument("Adam state parameter count mismatch");
-  }
-  if (state.t < 0) {
-    return Status::InvalidArgument("Adam state has negative step count");
-  }
-  for (size_t i = 0; i < params_.size(); ++i) {
-    if (!state.m[i].SameShape(*params_[i]) ||
-        !state.v[i].SameShape(*params_[i])) {
-      return Status::InvalidArgument("Adam state moment shape mismatch");
-    }
-  }
-  m_ = state.m;
-  v_ = state.v;
-  t_ = state.t;
-  return Status::OK();
-}
-
 }  // namespace autoce::nn

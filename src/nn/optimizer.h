@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/matrix.h"
-#include "util/status.h"
 
 namespace autoce::nn {
 
@@ -44,22 +43,6 @@ class Adam {
   void set_learning_rate(double lr) { learning_rate_ = lr; }
   double learning_rate() const { return learning_rate_; }
   int64_t step_count() const { return t_; }
-
-  /// \brief The complete optimizer state (first/second moments and step
-  /// count) for crash-safe checkpoints: exporting after step T and
-  /// importing into a freshly constructed Adam over the same parameters
-  /// continues the update sequence bit-identically.
-  struct State {
-    std::vector<Matrix> m;
-    std::vector<Matrix> v;
-    int64_t t = 0;
-  };
-
-  State ExportState() const;
-
-  /// Restores a state exported from an optimizer over identically
-  /// shaped parameters; shape mismatches are rejected.
-  Status ImportState(const State& state);
 
  private:
   std::vector<Matrix*> params_;

@@ -169,6 +169,31 @@ class MetricsRegistry {
                   // registry in util/fault.cc)
 };
 
+/// \brief One counter field of an object's stats (a server's requests,
+/// a queue's drained items): the only storage of that count and its
+/// only write.
+///
+/// `Add` bumps the owner's own count, which always records, so the
+/// owner's `stats()` is exact whether or not metrics are enabled, and
+/// the same-named registry `Counter`, which records only while
+/// `MetricsEnabled()`. The registry counter sums every instance, is
+/// zeroed by `Reset`, and keeps its count after the instance is gone.
+class StatCounter {
+ public:
+  explicit StatCounter(const std::string& name)
+      : registry_(MetricsRegistry::Instance().GetCounter(name)) {}
+
+  void Add(uint64_t delta = 1) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+    registry_->Add(static_cast<int64_t>(delta));
+  }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+  Counter* const registry_;
+};
+
 }  // namespace autoce::obs
 
 #endif  // AUTOCE_OBS_METRICS_H_

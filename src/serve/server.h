@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "advisor/autoce.h"
+#include "obs/metrics.h"
 #include "util/budget.h"
 #include "util/result.h"
 #include "util/snapshot.h"
@@ -74,7 +75,8 @@ struct RecommendResponse {
   uint64_t model_generation = 0;
 };
 
-/// Cumulative counters since construction.
+/// Cumulative counters since construction. Each counter is also the
+/// `serve.<field>` registry counter (obs::StatCounter).
 struct ServerStats {
   uint64_t requests = 0;
   uint64_t batches = 0;       ///< batched forwards executed
@@ -161,9 +163,6 @@ class AdvisorServer {
     std::list<uint64_t>::iterator lru_pos;
   };
 
-  /// FNV-1a fingerprint of a feature graph's content.
-  static uint64_t Fingerprint(const featgraph::FeatureGraph& graph);
-
   /// Looks up `key`, refreshing recency. Caller holds mu_.
   const CacheEntry* CacheLookup(uint64_t key);
   /// Inserts `key`, evicting the least recent entry when over capacity.
@@ -183,7 +182,23 @@ class AdvisorServer {
   uint64_t cache_digest_ = 0;                       // guarded by mu_
   std::unordered_map<uint64_t, CacheEntry> cache_;  // guarded by mu_
   std::list<uint64_t> lru_;  // most recent at front; guarded by mu_
-  ServerStats stats_;        // guarded by mu_
+  std::string last_reload_error_;  // guarded by mu_
+
+  /// The ServerStats counters, plus `admitted` (registry only).
+  struct Counters {
+    obs::StatCounter requests{"serve.requests"};
+    obs::StatCounter admitted{"serve.admitted"};
+    obs::StatCounter batches{"serve.batches"};
+    obs::StatCounter embedded{"serve.embedded"};
+    obs::StatCounter cache_hits{"serve.cache_hits"};
+    obs::StatCounter shed{"serve.shed"};
+    obs::StatCounter deadline_shed{"serve.deadline_shed"};
+    obs::StatCounter invalid{"serve.invalid"};
+    obs::StatCounter reloads{"serve.reloads"};
+    obs::StatCounter reload_attempts{"serve.reload_attempts"};
+    obs::StatCounter reload_failures{"serve.reload_failures"};
+  };
+  Counters counters_;
 };
 
 }  // namespace autoce::serve

@@ -2,7 +2,6 @@
 #define AUTOCE_UTIL_SIMD_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace autoce::util::simd {
@@ -95,11 +94,6 @@ double Dot(const double* a, const double* b, size_t n);
 /// sum_k (a[k] - b[k])^2.
 double SquaredL2(const double* a, const double* b, size_t n);
 
-/// out[r] = SquaredL2(q, base + r * dim) for r in [0, rows): the
-/// query-vs-many kernel behind the KNN linear scan and VP-tree leaves.
-void SquaredL2Batch(const double* q, const double* base, size_t rows,
-                    size_t dim, double* out);
-
 /// dot(a, b), |a|^2, |b|^2 in one pass (three independent lane trees);
 /// the cosine-similarity kernel.
 void DotNorms(const double* a, const double* b, size_t n, double* dot,
@@ -135,18 +129,6 @@ void ReluInPlace(double* x, size_t n);
 
 /// grad[i] = (pre[i] <= 0.0) ? 0.0 : grad[i] — the ReLU backward mask.
 void ReluBackward(const double* pre, double* grad, size_t n);
-
-// ---------------------------------------------------------------------
-// Quantized candidate kernel (knn::Index int8 tier).
-
-/// Lower bounds on squared L2 distance from per-dimension affine
-/// int8 codes: out[r] = sum_d step2[d] * max(0, |q[d] - codes[r*dim+d]|
-/// - 1)^2, where step2[d] is the squared dequantization step. Integer
-/// differences are exact; each accumulation is one fma into the 4-lane
-/// tree, so the bound is itself level-invariant.
-void QuantLowerBound(const uint8_t* q, const uint8_t* codes,
-                     const double* step2, size_t rows, size_t dim,
-                     double* out);
 
 }  // namespace autoce::util::simd
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "data/generator.h"
+#include "obs/metrics.h"
 #include "util/fault.h"
 
 namespace autoce::adapt {
@@ -59,11 +60,11 @@ TEST_F(FeedbackQueueTest, FingerprintIsContentKeyed) {
   // Same graph -> same fingerprint; distinct graphs -> distinct ones
   // (the pool is tiny, a collision would be a bug, not bad luck).
   for (size_t i = 0; i < graphs_->size(); ++i) {
-    EXPECT_EQ(GraphFingerprint((*graphs_)[i]),
-              GraphFingerprint((*graphs_)[i]));
+    EXPECT_EQ(featgraph::GraphFingerprint((*graphs_)[i]),
+              featgraph::GraphFingerprint((*graphs_)[i]));
     for (size_t j = i + 1; j < graphs_->size(); ++j) {
-      EXPECT_NE(GraphFingerprint((*graphs_)[i]),
-                GraphFingerprint((*graphs_)[j]))
+      EXPECT_NE(featgraph::GraphFingerprint((*graphs_)[i]),
+                featgraph::GraphFingerprint((*graphs_)[j]))
           << i << " vs " << j;
     }
   }
@@ -80,15 +81,15 @@ TEST_F(FeedbackQueueTest, AdmitsAndDrainsInArrivalOrder) {
   auto batch = q.DrainBatch(2);
   ASSERT_EQ(batch.size(), 2u);
   // Arrival order, not priority order.
-  EXPECT_EQ(batch[0].fingerprint, GraphFingerprint((*graphs_)[0]));
-  EXPECT_EQ(batch[1].fingerprint, GraphFingerprint((*graphs_)[1]));
+  EXPECT_EQ(batch[0].fingerprint, featgraph::GraphFingerprint((*graphs_)[0]));
+  EXPECT_EQ(batch[1].fingerprint, featgraph::GraphFingerprint((*graphs_)[1]));
   EXPECT_EQ(batch[0].sequence, 0u);
   EXPECT_EQ(batch[1].sequence, 1u);
   EXPECT_EQ(q.depth(), 1u);
 
   auto rest = q.DrainBatch(100);
   ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].fingerprint, GraphFingerprint((*graphs_)[2]));
+  EXPECT_EQ(rest[0].fingerprint, featgraph::GraphFingerprint((*graphs_)[2]));
 
   FeedbackQueueStats stats = q.stats();
   EXPECT_EQ(stats.offered, 3u);
@@ -126,8 +127,8 @@ TEST_F(FeedbackQueueTest, EvictsOnlyStrictlyLowerPriority) {
 
   auto batch = q.DrainBatch(2);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].fingerprint, GraphFingerprint((*graphs_)[1]));
-  EXPECT_EQ(batch[1].fingerprint, GraphFingerprint((*graphs_)[4]));
+  EXPECT_EQ(batch[0].fingerprint, featgraph::GraphFingerprint((*graphs_)[1]));
+  EXPECT_EQ(batch[1].fingerprint, featgraph::GraphFingerprint((*graphs_)[4]));
 
   FeedbackQueueStats stats = q.stats();
   EXPECT_EQ(stats.rejected_full, 2u);
@@ -145,8 +146,8 @@ TEST_F(FeedbackQueueTest, EvictionTieBreaksTowardNewerVictim) {
 
   auto batch = q.DrainBatch(2);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].fingerprint, GraphFingerprint((*graphs_)[0]));
-  EXPECT_EQ(batch[1].fingerprint, GraphFingerprint((*graphs_)[2]));
+  EXPECT_EQ(batch[0].fingerprint, featgraph::GraphFingerprint((*graphs_)[0]));
+  EXPECT_EQ(batch[1].fingerprint, featgraph::GraphFingerprint((*graphs_)[2]));
 }
 
 TEST_F(FeedbackQueueTest, ConcurrentOffersAtCapacityConserveCounts) {
@@ -226,8 +227,8 @@ TEST_F(FeedbackQueueTest, ConcurrentEqualPriorityOffersNeverEvict) {
   // The original residents survived the storm.
   auto batch = q.DrainBatch(2);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].fingerprint, GraphFingerprint((*graphs_)[0]));
-  EXPECT_EQ(batch[1].fingerprint, GraphFingerprint((*graphs_)[1]));
+  EXPECT_EQ(batch[0].fingerprint, featgraph::GraphFingerprint((*graphs_)[0]));
+  EXPECT_EQ(batch[1].fingerprint, featgraph::GraphFingerprint((*graphs_)[1]));
 }
 
 TEST_F(FeedbackQueueTest, SameOfferedStreamYieldsSameDrainedStream) {
@@ -268,6 +269,55 @@ TEST_F(FeedbackQueueTest, EnqueueFaultDropsAndCountsWithoutFailing) {
   // With injection off the same offer admits: the fault only ever
   // drops the one candidate, it cannot wedge the queue.
   EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kAdmitted);
+}
+
+TEST_F(FeedbackQueueTest, RegistryCountersEqualStatsAfterTheQueueIsGone) {
+  // Every FeedbackQueueStats counter is also the `adapt.queue.<field>`
+  // registry counter, and the registry keeps the counts after the queue
+  // is destroyed.
+  auto& registry = obs::MetricsRegistry::Instance();
+  auto& injection = util::FaultInjection::Instance();
+  registry.Enable();
+  registry.Reset();
+  FeedbackQueueStats stats;
+  {
+    FeedbackQueue q(2);
+    EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kAdmitted);
+    EXPECT_EQ(Offer(&q, 1, 2.0), Admission::kAdmitted);
+    EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kDuplicate);
+    EXPECT_EQ(Offer(&q, 2, 3.0), Admission::kAdmittedEvicting);
+    EXPECT_EQ(Offer(&q, 3, 0.5), Admission::kRejectedFull);
+    ASSERT_TRUE(
+        injection.Configure(std::string(util::fault_sites::kAdaptEnqueue) +
+                            ":1.0")
+            .ok());
+    EXPECT_EQ(Offer(&q, 4, 9.0), Admission::kRejectedFault);
+    injection.Disable();
+    EXPECT_EQ(q.DrainBatch(8).size(), 2u);
+    stats = q.stats();
+  }
+  registry.Disable();
+
+  EXPECT_EQ(stats.offered, 6u);
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_EQ(stats.deduped, 1u);
+  EXPECT_EQ(stats.evicted, 1u);
+  EXPECT_EQ(stats.rejected_full, 1u);
+  EXPECT_EQ(stats.rejected_fault, 1u);
+  EXPECT_EQ(stats.drained, 2u);
+  const std::pair<const char*, uint64_t> fields[] = {
+      {"adapt.queue.offered", stats.offered},
+      {"adapt.queue.admitted", stats.admitted},
+      {"adapt.queue.deduped", stats.deduped},
+      {"adapt.queue.evicted", stats.evicted},
+      {"adapt.queue.rejected_full", stats.rejected_full},
+      {"adapt.queue.rejected_fault", stats.rejected_fault},
+      {"adapt.queue.drained", stats.drained},
+  };
+  for (const auto& [name, value] : fields) {
+    EXPECT_EQ(registry.GetCounter(name)->value(), static_cast<int64_t>(value))
+        << name;
+  }
 }
 
 }  // namespace

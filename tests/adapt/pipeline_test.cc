@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "data/generator.h"
+#include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/snapshot.h"
 
@@ -385,7 +386,7 @@ TEST_F(PipelineTest, TrainFaultExhaustionQuarantines) {
   EXPECT_EQ(rig.server->generation(), gen_before);
   ASSERT_EQ(rig.pipeline->quarantined().size(), 1u);
   EXPECT_EQ(rig.pipeline->quarantined()[0],
-            GraphFingerprint((*feed_graphs_)[0]));
+            featgraph::GraphFingerprint((*feed_graphs_)[0]));
 
   // A replay of the poisoned item is consumed by quarantine dedup, and
   // the loop keeps working for healthy items.
@@ -523,7 +524,7 @@ TEST_F(PipelineTest, UnlimitedLabelBudgetNeverExpires) {
 
 TEST_F(PipelineTest, QuarantineLogPersistsAcrossRestart) {
   std::string dir = CloneTemplate("adapt_qlog");
-  uint64_t poisoned = GraphFingerprint((*feed_graphs_)[0]);
+  uint64_t poisoned = featgraph::GraphFingerprint((*feed_graphs_)[0]);
   {
     Rig rig = OpenRig(dir);
     auto& injection = util::FaultInjection::Instance();
@@ -564,7 +565,7 @@ TEST_F(PipelineTest, RequeueFromQuarantineClearsAndReapplies) {
   // state are cleared and the item trains into the RCS normally.
   std::string dir = CloneTemplate("adapt_requeue");
   Rig rig = OpenRig(dir);
-  uint64_t poisoned = GraphFingerprint((*feed_graphs_)[0]);
+  uint64_t poisoned = featgraph::GraphFingerprint((*feed_graphs_)[0]);
 
   auto& injection = util::FaultInjection::Instance();
   ASSERT_TRUE(injection
@@ -684,6 +685,98 @@ TEST_F(PipelineTest, SentinelLabelIsAllFailedFloor) {
     EXPECT_TRUE(label.failed[m]);
     EXPECT_EQ(label.accuracy_score[m], advisor::kScoreFloor);
     EXPECT_EQ(label.efficiency_score[m], advisor::kScoreFloor);
+  }
+}
+
+TEST_F(PipelineTest, RegistryCountersEqualStatsAfterThePipelineIsGone) {
+  // Every AdaptationStats counter is also the `adapt.<field>` registry
+  // counter, and the registry keeps the counts after the pipeline is
+  // destroyed. Each batch drives another degraded path, so every
+  // counter moves.
+  namespace sites = util::fault_sites;
+  auto& registry = obs::MetricsRegistry::Instance();
+  auto& injection = util::FaultInjection::Instance();
+  std::string dir = CloneTemplate("adapt_registry");
+  AdaptationConfig config;
+  config.label_budget_ms_per_batch = 10.0;
+  bool expire = false;
+  double now_s = 0.0;
+  config.clock = [&] {
+    if (expire) now_s += 1.0;  // every look overruns the budget
+    return now_s;
+  };
+  registry.Enable();
+  registry.Reset();
+  AdaptationStats stats;
+  {
+    Rig rig = OpenRig(dir, config);
+    auto run_once = [&] {
+      auto report = rig.pipeline->RunOnce();
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+    };
+    // Every label attempt faults (sentinel after two retries), and the
+    // post-batch server reload fails.
+    ASSERT_TRUE(injection
+                    .Configure(std::string(sites::kAdaptLabel) + "," +
+                               sites::kServeReload)
+                    .ok());
+    OfferFeed(rig.pipeline.get(), 0);
+    run_once();
+    // Both train attempts fault: one retry, then quarantine.
+    ASSERT_TRUE(injection.Configure(sites::kAdaptTrain).ok());
+    OfferFeed(rig.pipeline.get(), 1);
+    run_once();
+    // Commit verification faults: rollback, then quarantine.
+    ASSERT_TRUE(injection.Configure(sites::kAdaptCommit).ok());
+    OfferFeed(rig.pipeline.get(), 2);
+    run_once();
+    injection.Disable();
+    // The labeling budget is gone before the first attempt.
+    expire = true;
+    OfferFeed(rig.pipeline.get(), 3);
+    run_once();
+    expire = false;
+    // A replay of the applied item 0 dedups; item 4 labels fine.
+    OfferFeed(rig.pipeline.get(), 0);
+    OfferFeed(rig.pipeline.get(), 4);
+    run_once();
+    stats = rig.pipeline->stats();
+  }
+  registry.Disable();
+
+  EXPECT_EQ(stats.batches, 5u);
+  EXPECT_EQ(stats.items_seen, 6u);
+  EXPECT_EQ(stats.items_applied, 3u);
+  EXPECT_EQ(stats.items_deduped, 1u);
+  EXPECT_EQ(stats.items_quarantined, 2u);
+  EXPECT_EQ(stats.labels_ok, 3u);
+  EXPECT_EQ(stats.labels_sentinel, 2u);
+  EXPECT_EQ(stats.labels_budget_expired, 1u);
+  EXPECT_EQ(stats.label_retries, 2u);
+  EXPECT_EQ(stats.train_retries, 1u);
+  EXPECT_EQ(stats.commit_failures, 1u);
+  EXPECT_EQ(stats.generations_committed, 3u);
+  EXPECT_EQ(stats.reloads_triggered, 3u);
+  EXPECT_EQ(stats.reload_failures, 1u);
+  const std::pair<const char*, uint64_t> fields[] = {
+      {"adapt.batches", stats.batches},
+      {"adapt.items_seen", stats.items_seen},
+      {"adapt.items_applied", stats.items_applied},
+      {"adapt.items_deduped", stats.items_deduped},
+      {"adapt.items_quarantined", stats.items_quarantined},
+      {"adapt.labels_ok", stats.labels_ok},
+      {"adapt.labels_sentinel", stats.labels_sentinel},
+      {"adapt.labels_budget_expired", stats.labels_budget_expired},
+      {"adapt.label_retries", stats.label_retries},
+      {"adapt.train_retries", stats.train_retries},
+      {"adapt.commit_failures", stats.commit_failures},
+      {"adapt.generations_committed", stats.generations_committed},
+      {"adapt.reloads_triggered", stats.reloads_triggered},
+      {"adapt.reload_failures", stats.reload_failures},
+  };
+  for (const auto& [name, value] : fields) {
+    EXPECT_EQ(registry.GetCounter(name)->value(), static_cast<int64_t>(value))
+        << name;
   }
 }
 

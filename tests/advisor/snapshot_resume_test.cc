@@ -199,7 +199,9 @@ TEST(SnapshotResumeTest, AceFileIsTheFinalSnapshotGeneration) {
   auto sections = util::ReadSnapshotFile(ace);
   ASSERT_TRUE(sections.ok()) << sections.status().ToString();
   for (const auto& s : *sections) {
-    if (s.name == "best") EXPECT_EQ(s.payload, std::string(8, '\0'));
+    if (s.name == "best") {
+      EXPECT_EQ(s.payload, std::string(8, '\0'));
+    }
   }
 
   auto loaded = AutoCe::Load(store->GenerationPath(*final_gen));

@@ -130,5 +130,16 @@ TEST(MixupTest, LambdaEndpointsReproduceInputs) {
   }
 }
 
+TEST(GraphFingerprintTest, ValuesArePinned) {
+  // QUARANTINE.log persists fingerprints across restarts and `autoce
+  // adapt requeue` matches them, so the hash must never change.
+  FeatureGraph g;
+  g.dataset_name = "fingerprint_pin";
+  g.vertices = nn::Matrix::FromRows({{0.5, -1.25, 3.0}, {0.0, 1e-3, 42.0}});
+  g.edges = nn::Matrix::FromRows({{0.0, 0.75}, {0.75, 0.0}});
+  EXPECT_EQ(GraphFingerprint(g), 0x947F10922557DEC5ULL);
+  EXPECT_EQ(GraphFingerprint(FeatureGraph{}), 0x88201FB960FF6465ULL);
+}
+
 }  // namespace
 }  // namespace autoce::featgraph

@@ -9,6 +9,7 @@
 #include "data/generator.h"
 #include "engine/executor.h"
 #include "engine/histogram.h"
+#include "obs/metrics.h"
 #include "query/query.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -248,6 +249,77 @@ TEST(EstimatorServiceTest, NonFiniteModelAnswerDegrades) {
   EXPECT_DOUBLE_EQ((*service)->EstimateSubplan(queries[0]),
                    histogram.EstimateCardinality(queries[0]));
   EXPECT_EQ((*service)->stats().fallbacks, 1u);
+}
+
+TEST(EstimatorServiceTest, RegistryCountersEqualStatsAfterTheServiceIsGone) {
+  // Every ServiceStats counter is also the `fss.<field>` registry
+  // counter. The registry keeps the counts after the service is
+  // destroyed: traced runs read them once their services are gone.
+  auto& registry = obs::MetricsRegistry::Instance();
+  auto& injection = util::FaultInjection::Instance();
+  registry.Enable();
+  registry.Reset();
+  data::Dataset ds = MakeDataset(20);
+  std::string dir = TempStoreDir("fss_service_registry");
+  auto queries = MakeWorkload(ds, 3, 11);
+  ASSERT_GE(queries.size(), 3u);
+  EstimatorServiceOptions options;
+  options.cache_capacity = 1;
+  options.cache_shards = 1;
+  options.max_age_epochs = 1;
+  options.drift_disagreement_threshold = 0.5;
+  ServiceStats stats;
+  {
+    auto service = EstimatorService::Open(
+        dir, std::make_unique<SamplingStubModel>(), &ds, options);
+    ASSERT_TRUE(service.ok());
+    EstimatorService& s = **service;
+    s.EstimateSubplan(queries[0]);  // model
+    s.EstimateSubplan(queries[0]);  // cache
+    s.EstimateSubplan(queries[1]);  // model; evicts queries[0]
+    ASSERT_TRUE(injection.Configure("fss.lookup:1.0", 7).ok());
+    s.EstimateSubplan(queries[2]);  // histogram fallback
+    injection.Disable();
+    s.ObserveTrueCardinality(queries[1], 5000);  // far from the cached answer
+    s.EstimateSubplan(queries[1]);               // knowledge
+    ASSERT_TRUE(s.CommitKnowledge().ok());
+    ASSERT_TRUE(injection.Configure("fss.commit:1.0", 7).ok());
+    EXPECT_FALSE(s.CommitKnowledge().ok());
+    injection.Disable();
+    EXPECT_EQ(s.NotifyEpoch(3), 1u);  // ages out the epoch-0 observation
+    stats = s.stats();
+  }
+  registry.Disable();
+
+  EXPECT_EQ(stats.lookups, 5u);
+  EXPECT_EQ(stats.knowledge_hits, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.model_estimates, 2u);
+  EXPECT_EQ(stats.fallbacks, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.feedback, 1u);
+  EXPECT_EQ(stats.commits, 1u);
+  EXPECT_EQ(stats.commit_failures, 1u);
+  EXPECT_EQ(stats.age_evictions, 1u);
+  EXPECT_EQ(stats.drift_disagreements, 1u);
+  const std::pair<const char*, uint64_t> fields[] = {
+      {"fss.lookups", stats.lookups},
+      {"fss.knowledge_hits", stats.knowledge_hits},
+      {"fss.cache_hits", stats.cache_hits},
+      {"fss.model_estimates", stats.model_estimates},
+      {"fss.fallbacks", stats.fallbacks},
+      {"fss.evictions", stats.evictions},
+      {"fss.collisions", stats.collisions},
+      {"fss.feedback", stats.feedback},
+      {"fss.commits", stats.commits},
+      {"fss.commit_failures", stats.commit_failures},
+      {"fss.age_evictions", stats.age_evictions},
+      {"fss.drift_disagreements", stats.drift_disagreements},
+  };
+  for (const auto& [name, value] : fields) {
+    EXPECT_EQ(registry.GetCounter(name)->value(), static_cast<int64_t>(value))
+        << name;
+  }
 }
 
 }  // namespace

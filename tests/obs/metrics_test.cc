@@ -63,6 +63,29 @@ TEST(MetricsTest, CounterDefaultIncrementIsOne) {
   EXPECT_EQ(c->value(), 5);
 }
 
+TEST(MetricsTest, StatCounterAlwaysCountsAndFeedsTheGatedRegistry) {
+  auto& registry = MetricsRegistry::Instance();
+  Counter* shared = registry.GetCounter("mt.stat");
+  registry.Disable();
+  {
+    StatCounter a("mt.stat");
+    a.Add();
+    EXPECT_EQ(a.value(), 1u);
+    EXPECT_EQ(shared->value(), 0);  // dormant: only the instance counts
+
+    registry.Enable();
+    StatCounter b("mt.stat");
+    a.Add(2);
+    b.Add(4);
+    EXPECT_EQ(a.value(), 3u);
+    EXPECT_EQ(b.value(), 4u);
+    EXPECT_EQ(shared->value(), 6);  // the registry sums every instance
+  }
+  EXPECT_EQ(shared->value(), 6);  // and keeps the count after them
+  registry.Reset();
+  EXPECT_EQ(shared->value(), 0);
+}
+
 TEST(MetricsTest, HistogramQuantileEmptyIsZero) {
   auto& registry = MetricsRegistry::Instance();
   registry.Enable();

@@ -1,14 +1,12 @@
 // Bit-identity sweep for the util::simd dispatch layer (DESIGN.md
 // §5.10): scalar and the best-available vector level must produce
 // byte-identical matrix products, embeddings, and KNN neighbor lists at
-// every thread count, and the int8-quantized KNN tier must return
-// exactly the linear scan's neighbors on adversarial inputs.
+// every thread count.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "data/generator.h"
@@ -190,8 +188,7 @@ TEST_P(SimdDispatchSweep, KnnNeighborListsInvariant) {
   queries.push_back(points[42]);  // zero query
 
   std::vector<knn::Index> indexes;
-  for (knn::Backend backend : {knn::Backend::kLinear, knn::Backend::kVpTree,
-                               knn::Backend::kQuantized}) {
+  for (knn::Backend backend : {knn::Backend::kLinear, knn::Backend::kVpTree}) {
     knn::IndexConfig cfg;
     cfg.backend = backend;
     indexes.push_back(knn::Index::Build(points, {}, cfg));
@@ -266,76 +263,6 @@ TEST(SimdDispatchTest, DispatchPlumbing) {
   }
 }
 
-TEST(QuantizedKnnTest, ExactnessOnAdversarialInputs) {
-  // Ties, zero vectors, denormals, a constant dimension (step == 0),
-  // and widely separated clusters.
-  std::vector<std::vector<double>> points;
-  Rng rng(99);
-  for (int i = 0; i < 50; ++i) {
-    std::vector<double> p(8);
-    for (double& v : p) v = rng.Gaussian();
-    p[3] = 2.5;  // constant dim: degenerate quantization step
-    points.push_back(p);
-  }
-  points.push_back(points[10]);            // duplicate of 10
-  points.push_back(points[10]);            // another duplicate
-  points.push_back(std::vector<double>(8, 0.0));
-  points.push_back(std::vector<double>(8, 4.9e-324));  // denormals
-  points.push_back(std::vector<double>(8, 1e6));       // far cluster
-  for (auto& p : points) p[3] = 2.5;
-
-  knn::IndexConfig lin_cfg, q_cfg;
-  lin_cfg.backend = knn::Backend::kLinear;
-  q_cfg.backend = knn::Backend::kQuantized;
-  knn::Index linear = knn::Index::Build(points, {}, lin_cfg);
-  knn::Index quant = knn::Index::Build(points, {}, q_cfg);
-
-  std::vector<std::vector<double>> queries = RandomPoints(10, 8, 17);
-  queries.push_back(points[10]);                  // lands on the ties
-  queries.push_back(std::vector<double>(8, 0.0));
-  queries.push_back(std::vector<double>(8, 2e6));  // outside code range
-  for (auto& q : queries) q[3] = rng.Gaussian();   // off-lattice dim 3
-
-  for (const auto& q : queries) {
-    for (size_t k : {size_t{1}, size_t{3}, size_t{10}, size_t{200}}) {
-      knn::QueryStats qs;
-      auto expect = linear.Query(q, k);
-      auto got = quant.Query(q, k, SIZE_MAX, nullptr, &qs);
-      ExpectSameNeighborBits(expect, got, "quantized vs linear");
-      // Leave-one-out and filtered retrieval take the same tier.
-      std::vector<char> allowed(points.size(), 1);
-      allowed[10] = 0;
-      ExpectSameNeighborBits(linear.Query(q, k, 11, &allowed),
-                             quant.Query(q, k, 11, &allowed),
-                             "quantized vs linear filtered");
-    }
-  }
-}
-
-TEST(QuantizedKnnTest, LowerBoundPrunesFarCluster) {
-  // Two well-separated clusters: the bound must rule out the far one
-  // without exact evaluations.
-  std::vector<std::vector<double>> points;
-  Rng rng(5);
-  for (int i = 0; i < 64; ++i) {
-    std::vector<double> p(16);
-    for (double& v : p) v = rng.Gaussian();
-    if (i >= 32) {
-      for (double& v : p) v += 1000.0;
-    }
-    points.push_back(p);
-  }
-  knn::IndexConfig cfg;
-  cfg.backend = knn::Backend::kQuantized;
-  knn::Index index = knn::Index::Build(points, {}, cfg);
-  knn::QueryStats stats;
-  auto got = index.Query(points[3], 5, SIZE_MAX, nullptr, &stats);
-  ASSERT_EQ(got.size(), 5u);
-  EXPECT_EQ(got[0].index, 3u);
-  EXPECT_GT(stats.lb_prunes, 0u);
-  EXPECT_LT(stats.distance_evals, points.size());
-}
-
 TEST(KnnFastPathTest, K1MatchesGeneralPathAndTieBreak) {
   auto points = RandomPoints(60, 10, 77);
   points[20] = points[4];  // duplicate: k=1 must return the smaller index
@@ -348,15 +275,14 @@ TEST(KnnFastPathTest, K1MatchesGeneralPathAndTieBreak) {
   EXPECT_EQ(tied[0].index, 4u);
   EXPECT_EQ(tied[0].distance, 0.0);
 
-  // The fast path (k=1, no filters) must agree bit-for-bit with the
-  // general path, which an `allowed` filter of all-ones forces.
+  // An all-ones `allowed` filter must not change a k=1 answer by a bit.
   std::vector<char> all(points.size(), 1);
   auto queries = RandomPoints(8, 10, 78);
   queries.push_back(points[4]);
   for (const auto& q : queries) {
     ExpectSameNeighborBits(index.Query(q, 1),
                            index.Query(q, 1, SIZE_MAX, &all),
-                           "k=1 fast path vs general");
+                           "k=1 unfiltered vs all-ones filter");
     // Leave-one-out on a duplicate falls to the twin.
     auto loo = index.Query(points[4], 1, 4);
     ASSERT_EQ(loo.size(), 1u);

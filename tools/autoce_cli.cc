@@ -599,7 +599,7 @@ int CmdAdaptRequeue(const Args& args) {
       return 1;
     }
     auto graph = extractor.Extract(*ds);
-    if (adapt::GraphFingerprint(graph) != fingerprint) continue;
+    if (featgraph::GraphFingerprint(graph) != fingerprint) continue;
 
     auto offered = pipeline->RequeueFromQuarantine(fingerprint, *ds, graph);
     if (!offered.ok()) {
