@@ -1,25 +1,78 @@
 #include "data/dataset.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "util/logging.h"
 
 namespace autoce::data {
 
+namespace {
+
+/// Exact set of int32 values for distinct counts: open addressing with
+/// linear probing over a power-of-two table of at least 2n int64 slots.
+/// INT64_MIN marks an empty slot, so every int32 value fits, and memory
+/// is O(n) whatever the values' spread (codes are not guaranteed to lie
+/// in [1, domain]: files are extracted without Validate).
+class FlatInt32Set {
+ public:
+  /// An empty set with room for `n` distinct values.
+  explicit FlatInt32Set(size_t n) {
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * n) ++bits;
+    slots_.assign(size_t{1} << bits, kEmpty);
+    shift_ = 64 - bits;
+  }
+
+  /// Adds `v`; true when it was not present yet.
+  bool Insert(int32_t v) {
+    int64_t& slot = slots_[Find(v)];
+    if (slot != kEmpty) return false;
+    slot = v;
+    ++size_;
+    return true;
+  }
+
+  /// Marks `v`; true when it is present and was not marked yet.
+  bool Mark(int32_t v) {
+    int64_t& slot = slots_[Find(v)];
+    if (slot != v) return false;
+    slot = v + kMarked;
+    return true;
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  static constexpr int64_t kEmpty = INT64_MIN;
+  /// A marked value is stored as v + 2^32, outside the int32 range.
+  static constexpr int64_t kMarked = int64_t{1} << 32;
+
+  /// Slot holding `v` (marked or not), or the empty slot ending its
+  /// probe sequence. Fibonacci hashing spreads dense codes.
+  size_t Find(int32_t v) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(
+        (static_cast<uint64_t>(static_cast<uint32_t>(v)) *
+         0x9E3779B97F4A7C15ULL) >> shift_);
+    while (slots_[i] != kEmpty && slots_[i] != v && slots_[i] != v + kMarked) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  std::vector<int64_t> slots_;
+  int shift_ = 0;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
 int64_t Column::CountDistinct() const {
-  std::unordered_set<int32_t> s(values.begin(), values.end());
-  return static_cast<int64_t>(s.size());
-}
-
-int32_t Column::MinValue() const {
-  if (values.empty()) return 0;
-  return *std::min_element(values.begin(), values.end());
-}
-
-int32_t Column::MaxValue() const {
-  if (values.empty()) return 0;
-  return *std::max_element(values.begin(), values.end());
+  FlatInt32Set set(values.size());
+  for (int32_t v : values) set.Insert(v);
+  return static_cast<int64_t>(set.size());
 }
 
 int Table::FindColumn(const std::string& column_name) const {
@@ -88,10 +141,14 @@ std::vector<ForeignKey> Dataset::JoinsOf(int t) const {
 bool Dataset::IsConnected(const std::vector<int>& table_ids) const {
   if (table_ids.empty()) return false;
   if (table_ids.size() == 1) return true;
-  std::unordered_set<int> member(table_ids.begin(), table_ids.end());
-  std::unordered_set<int> visited;
+  // Queries join a handful of tables: a sorted member list and a
+  // linearly scanned visited list take about half the time of two hash
+  // sets on 2-4-table subqueries.
+  std::vector<int> member(table_ids);
+  std::sort(member.begin(), member.end());
+  member.erase(std::unique(member.begin(), member.end()), member.end());
+  std::vector<int> visited{table_ids[0]};
   std::vector<int> stack{table_ids[0]};
-  visited.insert(table_ids[0]);
   while (!stack.empty()) {
     int t = stack.back();
     stack.pop_back();
@@ -99,8 +156,10 @@ bool Dataset::IsConnected(const std::vector<int>& table_ids) const {
       int other = -1;
       if (fk.fk_table == t) other = fk.pk_table;
       if (fk.pk_table == t) other = fk.fk_table;
-      if (other >= 0 && member.count(other) && !visited.count(other)) {
-        visited.insert(other);
+      if (other >= 0 &&
+          std::binary_search(member.begin(), member.end(), other) &&
+          std::find(visited.begin(), visited.end(), other) == visited.end()) {
+        visited.push_back(other);
         stack.push_back(other);
       }
     }
@@ -115,14 +174,13 @@ double Dataset::JoinCorrelation(const ForeignKey& fk) const {
   const Column& pk_col =
       tables_[static_cast<size_t>(fk.pk_table)]
           .columns[static_cast<size_t>(fk.pk_column)];
-  std::unordered_set<int32_t> fk_set(fk_col.values.begin(),
-                                     fk_col.values.end());
-  std::unordered_set<int32_t> pk_set(pk_col.values.begin(),
-                                     pk_col.values.end());
-  if (pk_set.empty()) return 0.0;
-  // Count FK-distinct values that actually reference a PK value.
+  FlatInt32Set pk_set(pk_col.values.size());
+  for (int32_t v : pk_col.values) pk_set.Insert(v);
+  if (pk_set.size() == 0) return 0.0;
+  // Count FK-distinct values that actually reference a PK value: each
+  // PK value is marked the first time an FK value hits it.
   int64_t hits = 0;
-  for (int32_t v : fk_set) hits += pk_set.count(v);
+  for (int32_t v : fk_col.values) hits += pk_set.Mark(v);
   return static_cast<double>(hits) / static_cast<double>(pk_set.size());
 }
 

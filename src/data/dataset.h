@@ -24,10 +24,6 @@ struct Column {
 
   /// Number of distinct values actually present.
   int64_t CountDistinct() const;
-
-  /// Min/max of the stored values (0 if empty).
-  int32_t MinValue() const;
-  int32_t MaxValue() const;
 };
 
 /// \brief A table: equal-length columns plus an optional primary key.

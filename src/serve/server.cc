@@ -14,7 +14,8 @@ AdvisorServer::AdvisorServer(advisor::AutoCe advisor, ServerConfig config)
     : config_(config),
       advisor_(std::make_shared<const advisor::AutoCe>(std::move(advisor))) {
   AUTOCE_CHECK(config_.max_batch >= 1);
-  cache_digest_ = advisor_->EncoderDigest();
+  digest_ = advisor_->EncoderDigest();
+  cache_digest_ = digest_;
 }
 
 Result<std::unique_ptr<AdvisorServer>> AdvisorServer::Open(
@@ -68,8 +69,7 @@ void AdvisorServer::CacheInsert(uint64_t key, std::vector<double> embedding) {
   cache_.emplace(key, CacheEntry{std::move(embedding), lru_.begin()});
 }
 
-void AdvisorServer::InvalidateCacheIfStale(const advisor::AutoCe& advisor) {
-  uint64_t digest = advisor.EncoderDigest();
+void AdvisorServer::InvalidateCacheIfStale(uint64_t digest) {
   if (digest == cache_digest_) return;
   cache_.clear();
   lru_.clear();
@@ -78,9 +78,10 @@ void AdvisorServer::InvalidateCacheIfStale(const advisor::AutoCe& advisor) {
 
 std::vector<RecommendResponse> AdvisorServer::Serve(
     const std::vector<RecommendRequest>& requests) {
-  // The model is pinned for the whole burst: a concurrent Reload swaps
-  // the shared_ptr but this burst keeps answering from the generation
-  // it admitted under — no request is dropped mid-reload.
+  // The model, its generation and its encoder digest are pinned
+  // together for the whole burst: a concurrent Reload swaps them but
+  // this burst keeps answering from the generation it admitted under —
+  // no request is dropped mid-reload.
   obs::TraceSpan span("serve.burst");
   // Each request's time-in-burst: at shedding, or when its batch
   // completes.
@@ -99,10 +100,12 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
   };
   std::shared_ptr<const advisor::AutoCe> advisor;
   uint64_t generation = 0;
+  uint64_t digest = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     advisor = advisor_;
     generation = generation_;
+    digest = digest_;
   }
   counters_.requests.Add(requests.size());
 
@@ -114,10 +117,13 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
   std::vector<size_t> admitted;
   admitted.reserve(std::min(requests.size(), config_.queue_capacity));
   const double admission_elapsed_ms = (clock() - burst_start) * 1000.0;
+  // Each request's fingerprint: the admission fault key and the
+  // embedding-cache key.
+  std::vector<uint64_t> keys(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     responses[i].id = requests[i].id;
     responses[i].model_generation = generation;
-    uint64_t key = featgraph::GraphFingerprint(requests[i].graph);
+    keys[i] = featgraph::GraphFingerprint(requests[i].graph);
     const char* shed_reason = nullptr;
     bool deadline_expired = false;
     double deadline = deadline_of(requests[i]);
@@ -126,7 +132,8 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
     } else if (deadline > 0.0 && admission_elapsed_ms >= deadline) {
       shed_reason = "request deadline expired at admission";
       deadline_expired = true;
-    } else if (util::FaultPoint(util::fault_sites::kServeAdmission, key)) {
+    } else if (util::FaultPoint(util::fault_sites::kServeAdmission,
+                                keys[i])) {
       shed_reason = "injected admission fault";
     }
     if (shed_reason != nullptr) {
@@ -164,7 +171,7 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
     std::vector<size_t> misses;  // indices into `pending`
     {
       std::lock_guard<std::mutex> lock(mu_);
-      InvalidateCacheIfStale(*advisor);
+      InvalidateCacheIfStale(digest);
       for (size_t j = b; j < end; ++j) {
         size_t i = admitted[j];
         double deadline = deadline_of(requests[i]);
@@ -186,7 +193,7 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
         }
         Pending p;
         p.request = i;
-        p.key = featgraph::GraphFingerprint(requests[i].graph);
+        p.key = keys[i];
         if (const CacheEntry* hit = CacheLookup(p.key)) {
           p.embedding = hit->embedding;
           p.from_cache = true;
@@ -212,9 +219,15 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
       counters_.batches.Add();
       counters_.embedded.Add(misses.size());
       std::lock_guard<std::mutex> lock(mu_);
+      // A burst on another generation may have reset the cache to its
+      // digest while this batch embedded; these embeddings belong only
+      // under this batch's digest.
+      const bool cacheable = cache_digest_ == digest;
       for (size_t k = 0; k < misses.size(); ++k) {
         pending[misses[k]].embedding = embedded[k];
-        CacheInsert(pending[misses[k]].key, std::move(embedded[k]));
+        if (cacheable) {
+          CacheInsert(pending[misses[k]].key, std::move(embedded[k]));
+        }
       }
     }
 
@@ -284,12 +297,14 @@ Status AdvisorServer::Reload() {
   util::KillPoint(util::kill_sites::kServeReload, generation);
   auto fresh =
       std::make_shared<const advisor::AutoCe>(std::move(*loaded));
+  const uint64_t digest = fresh->EncoderDigest();
   counters_.reloads.Add();
   std::lock_guard<std::mutex> lock(mu_);
   advisor_ = std::move(fresh);
   generation_ = generation;
-  // The embedding cache invalidates lazily on the next Serve through
-  // the encoder digest; an identical re-committed encoder keeps its
+  digest_ = digest;
+  // The embedding cache invalidates lazily on the next batch served
+  // with this digest; an identical re-committed encoder keeps its
   // cache.
   return Status::OK();
 }

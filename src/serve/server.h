@@ -113,7 +113,8 @@ struct ServerStats {
 /// `serve.reload` kill point) leaves the previous generation serving.
 /// The embedding cache invalidates itself through the advisor's
 /// encoder-parameter digest, the same signal the advisor's incremental
-/// RefreshEmbeddings keys on.
+/// RefreshEmbeddings keys on. The digest is computed once per installed
+/// advisor (construction, Reload) and compared at every batch.
 class AdvisorServer {
  public:
   /// Wraps a fitted advisor. `Reload` requires AttachStore afterwards.
@@ -168,9 +169,11 @@ class AdvisorServer {
   /// Inserts `key`, evicting the least recent entry when over capacity.
   /// Caller holds mu_.
   void CacheInsert(uint64_t key, std::vector<double> embedding);
-  /// Drops every cache entry when the encoder digest moved (reload or
-  /// online update). Caller holds mu_.
-  void InvalidateCacheIfStale(const advisor::AutoCe& advisor);
+  /// Drops every cache entry when `digest`, the encoder digest of the
+  /// advisor a batch is served with, differs from the one the cache was
+  /// filled under (a reload or online update moved the weights). Caller
+  /// holds mu_.
+  void InvalidateCacheIfStale(uint64_t digest);
 
   ServerConfig config_;
   std::string store_dir_;
@@ -179,7 +182,12 @@ class AdvisorServer {
   mutable std::mutex mu_;
   std::shared_ptr<const advisor::AutoCe> advisor_;  // guarded by mu_
   uint64_t generation_ = 0;                         // guarded by mu_
-  uint64_t cache_digest_ = 0;                       // guarded by mu_
+  /// advisor_->EncoderDigest(), computed once when advisor_ is
+  /// installed: the served advisor is immutable. Guarded by mu_.
+  uint64_t digest_ = 0;
+  /// The digest the cached embeddings were computed under. Guarded by
+  /// mu_.
+  uint64_t cache_digest_ = 0;
   std::unordered_map<uint64_t, CacheEntry> cache_;  // guarded by mu_
   std::list<uint64_t> lru_;  // most recent at front; guarded by mu_
   std::string last_reload_error_;  // guarded by mu_

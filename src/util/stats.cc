@@ -13,39 +13,47 @@ double Mean(const std::vector<double>& v) {
   return s / static_cast<double>(v.size());
 }
 
-double StdDev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  double m = Mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(v.size()));
+template <typename T>
+Moments MomentsOf(const std::vector<T>& v) {
+  Moments out;
+  if (v.empty()) return out;
+  const double n = static_cast<double>(v.size());
+  double sum = 0.0;
+  T lo = v[0], hi = v[0];
+  for (T x : v) {
+    sum += static_cast<double>(x);
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+  }
+  out.mean = sum / n;
+  out.min = static_cast<double>(lo);
+  out.max = static_cast<double>(hi);
+  if (v.size() < 2) return out;
+
+  const double m = out.mean;
+  double ss = 0.0;
+  for (T x : v) {
+    const double d = static_cast<double>(x) - m;
+    ss += d * d;
+  }
+  const double sd = std::sqrt(ss / n);
+  out.stddev = sd;
+  if (v.size() < 3 || sd < 1e-12) return out;
+
+  double s3 = 0.0, s4 = 0.0;
+  for (T x : v) {
+    const double z = (static_cast<double>(x) - m) / sd;
+    const double z3 = z * z * z;
+    s3 += z3;
+    s4 += z3 * z;
+  }
+  out.skewness = s3 / n;
+  if (v.size() >= 4) out.kurtosis = s4 / n - 3.0;
+  return out;
 }
 
-double Skewness(const std::vector<double>& v) {
-  if (v.size() < 3) return 0.0;
-  double m = Mean(v);
-  double sd = StdDev(v);
-  if (sd < 1e-12) return 0.0;
-  double s = 0.0;
-  for (double x : v) {
-    double z = (x - m) / sd;
-    s += z * z * z;
-  }
-  return s / static_cast<double>(v.size());
-}
-
-double Kurtosis(const std::vector<double>& v) {
-  if (v.size() < 4) return 0.0;
-  double m = Mean(v);
-  double sd = StdDev(v);
-  if (sd < 1e-12) return 0.0;
-  double s = 0.0;
-  for (double x : v) {
-    double z = (x - m) / sd;
-    s += z * z * z * z;
-  }
-  return s / static_cast<double>(v.size()) - 3.0;
-}
+template Moments MomentsOf(const std::vector<int32_t>& v);
+template Moments MomentsOf(const std::vector<double>& v);
 
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b) {
@@ -66,9 +74,7 @@ double PositionalMatchRatio(const std::vector<int32_t>& a,
                             const std::vector<int32_t>& b) {
   if (a.size() != b.size() || a.empty()) return 0.0;
   size_t matches = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) ++matches;
-  }
+  for (size_t i = 0; i < a.size(); ++i) matches += a[i] == b[i];
   return static_cast<double>(matches) / static_cast<double>(a.size());
 }
 

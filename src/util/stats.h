@@ -16,14 +16,24 @@ namespace stats {
 /// Arithmetic mean; 0 for empty input.
 double Mean(const std::vector<double>& v);
 
-/// Population standard deviation; 0 for fewer than 2 elements.
-double StdDev(const std::vector<double>& v);
+/// Moments and extremes of one sequence (see MomentsOf).
+struct Moments {
+  double mean = 0.0;      ///< arithmetic mean; 0 for empty input
+  double stddev = 0.0;    ///< population stddev; 0 for fewer than 2 elements
+  double skewness = 0.0;  ///< Fisher-Pearson g1; 0 when undefined
+  double kurtosis = 0.0;  ///< excess kurtosis g2; 0 when undefined
+  double min = 0.0;       ///< smallest element; 0 for empty input
+  double max = 0.0;       ///< largest element; 0 for empty input
+};
 
-/// Sample (Fisher-Pearson) skewness g1; 0 when undefined.
-double Skewness(const std::vector<double>& v);
-
-/// Excess kurtosis g2; 0 when undefined.
-double Kurtosis(const std::vector<double>& v);
+/// All of `Moments` in three sweeps: sum and extremes, squared
+/// deviations, then z^3 and z^4 together. Every element is converted to
+/// double before any arithmetic and each sum runs left to right, so the
+/// results are the same bits for `int32_t` codes and for the same values
+/// as doubles. Skewness needs 3 elements, kurtosis 4, and both are 0
+/// when stddev < 1e-12. Instantiated for `int32_t` and `double`.
+template <typename T>
+Moments MomentsOf(const std::vector<T>& v);
 
 /// Pearson correlation coefficient; 0 when either side is constant.
 double PearsonCorrelation(const std::vector<double>& a,

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <vector>
+
+#include "util/rng.h"
+#include "util/stats.h"
+
 namespace autoce::data {
 namespace {
 
@@ -27,11 +34,11 @@ TEST(ColumnTest, DistinctAndMinMax) {
   Column c;
   c.values = {3, 1, 3, 2, 1};
   EXPECT_EQ(c.CountDistinct(), 3);
-  EXPECT_EQ(c.MinValue(), 1);
-  EXPECT_EQ(c.MaxValue(), 3);
+  EXPECT_EQ(stats::MomentsOf(c.values).min, 1);
+  EXPECT_EQ(stats::MomentsOf(c.values).max, 3);
   Column empty;
   EXPECT_EQ(empty.CountDistinct(), 0);
-  EXPECT_EQ(empty.MinValue(), 0);
+  EXPECT_EQ(stats::MomentsOf(empty.values).min, 0);
 }
 
 TEST(TableTest, ShapeAccessors) {
@@ -78,11 +85,91 @@ TEST_F(TwoTableDatasetTest, Connectivity) {
   EXPECT_TRUE(ds_.IsConnected({parent_id_, child_id_}));
   EXPECT_TRUE(ds_.IsConnected({parent_id_}));
   EXPECT_FALSE(ds_.IsConnected({}));
+  // Repeated ids count once; an unknown id is never reached.
+  EXPECT_TRUE(ds_.IsConnected({child_id_, parent_id_, child_id_}));
+  EXPECT_FALSE(ds_.IsConnected({parent_id_, 99}));
 }
 
 TEST_F(TwoTableDatasetTest, JoinCorrelation) {
   // FK distinct values {1,2,3}; PK distinct values {1,2,3,4}: 3/4.
   EXPECT_DOUBLE_EQ(ds_.JoinCorrelation(ds_.foreign_keys()[0]), 0.75);
+}
+
+/// |distinct FK ∩ distinct PK| / |distinct PK| over std::set: the
+/// reference JoinCorrelation must match bit for bit.
+double ReferenceJoinCorrelation(const std::vector<int32_t>& fk,
+                                const std::vector<int32_t>& pk) {
+  std::set<int32_t> fk_set(fk.begin(), fk.end());
+  std::set<int32_t> pk_set(pk.begin(), pk.end());
+  if (pk_set.empty()) return 0.0;
+  int64_t hits = 0;
+  for (int32_t v : fk_set) hits += static_cast<int64_t>(pk_set.count(v));
+  return static_cast<double>(hits) / static_cast<double>(pk_set.size());
+}
+
+/// Checks JoinCorrelation and CountDistinct of an FK column referencing
+/// a PK column against the std::set reference. The codes need not lie
+/// in any domain: datasets loaded from files are extracted without
+/// Validate.
+void ExpectMatchesSetReference(const std::vector<int32_t>& fk,
+                               const std::vector<int32_t>& pk) {
+  Dataset ds;
+  Table parent;
+  parent.name = "p";
+  parent.columns.push_back(Column{"id", 1, pk});
+  parent.primary_key = 0;
+  Table child;
+  child.name = "c";
+  child.columns.push_back(Column{"fk", 1, fk});
+  ds.AddTable(std::move(parent));
+  ds.AddTable(std::move(child));
+  ForeignKey edge{1, 0, 0, 0};
+  ASSERT_TRUE(ds.AddForeignKey(edge).ok());
+  EXPECT_EQ(ds.JoinCorrelation(edge), ReferenceJoinCorrelation(fk, pk));
+  for (const std::vector<int32_t>* v : {&fk, &pk}) {
+    EXPECT_EQ((Column{"x", 1, *v}).CountDistinct(),
+              static_cast<int64_t>(std::set<int32_t>(v->begin(), v->end())
+                                       .size()));
+  }
+}
+
+TEST(JoinCorrelationTest, MatchesSetReferenceOnEdgeValues) {
+  ExpectMatchesSetReference({INT32_MIN, INT32_MAX, 0, INT32_MAX},
+                            {INT32_MAX, INT32_MIN, -1, 1});
+  // Negative codes, and FK values absent from the PK.
+  ExpectMatchesSetReference({-5, -4, -4, 7, 100, -100000},
+                            {-5, -4, -3, -2, 7, 8});
+  // Heavy duplicates on both sides.
+  ExpectMatchesSetReference(std::vector<int32_t>(5000, 42),
+                            {42, 42, 42, 43, 43, 1});
+  // No FK value hits the PK.
+  ExpectMatchesSetReference({1, 2, 3}, {4, 5, 6});
+}
+
+TEST(JoinCorrelationTest, EmptyPrimaryKeyColumnGivesZero) {
+  // The reference reads 0.0 when the PK column is empty.
+  ExpectMatchesSetReference({1, 2, 3}, {});
+  ExpectMatchesSetReference({}, {});
+}
+
+TEST(JoinCorrelationTest, MatchesSetReferenceOnRandomColumns) {
+  // Sizes around the set's power-of-two growth steps, value ranges from
+  // a few dense codes to the full int32 span.
+  Rng rng(4242);
+  const int64_t spans[] = {1, 3, 1000, 1 << 20, int64_t{1} << 32};
+  for (size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u, 4096u}) {
+    for (int64_t span : spans) {
+      const int64_t base = rng.UniformInt(INT32_MIN, INT32_MAX - (span - 1));
+      auto draw = [&](size_t count) {
+        std::vector<int32_t> out(count);
+        for (auto& v : out) {
+          v = static_cast<int32_t>(base + rng.UniformInt(0, span - 1));
+        }
+        return out;
+      };
+      ExpectMatchesSetReference(draw(n), draw(n / 2 + 1));
+    }
+  }
 }
 
 TEST_F(TwoTableDatasetTest, ValidateOk) {

@@ -22,8 +22,8 @@ TEST(SingleTableTest, ShapeAndDomains) {
   for (const auto& c : t.columns) {
     EXPECT_GE(c.domain_size, 20);
     EXPECT_LE(c.domain_size, 50);
-    EXPECT_GE(c.MinValue(), 1);
-    EXPECT_LE(c.MaxValue(), c.domain_size);
+    EXPECT_GE(stats::MomentsOf(c.values).min, 1);
+    EXPECT_LE(stats::MomentsOf(c.values).max, c.domain_size);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "data/generator.h"
 
 namespace autoce::featgraph {
@@ -128,6 +133,88 @@ TEST(MixupTest, LambdaEndpointsReproduceInputs) {
   for (size_t i = 0; i < ga.vertices.size(); ++i) {
     EXPECT_NEAR(m1.vertices.data()[i], ga.vertices.data()[i], 1e-12);
   }
+}
+
+TEST(FeatureGraphTest, RangeFeatureOfExtremeCodesDoesNotOverflow) {
+  // Datasets loaded from files are extracted without Validate, so codes
+  // may span all of int32: max - min + 1 = 2^32 must not wrap.
+  auto range_feature = [](std::vector<int32_t> values) {
+    data::Table t;
+    t.name = "t";
+    t.columns.push_back(data::Column{"c", 10, std::move(values)});
+    data::Dataset ds("extremes");
+    ds.AddTable(std::move(t));
+    FeatureExtractor fx;
+    FeatureGraph g = fx.Extract(ds);
+    EXPECT_TRUE(ValidateGraph(g, fx.vertex_dim()).ok());
+    return g.vertices(0, 3);
+  };
+  // log10(2^32) / 6 = 1.605..., clamped to 1.5.
+  EXPECT_DOUBLE_EQ(range_feature({INT32_MIN, 0, INT32_MAX}), 1.5);
+  // log10(1000) / 6 over negative codes.
+  EXPECT_DOUBLE_EQ(range_feature({-500, 499, 0}), 0.5);
+}
+
+/// Generated datasets that reach every guard of the column features:
+/// 1-3-row tables (the n < 2, 3, 4 moment guards), domain-1 constant
+/// columns (sd < 1e-12), tables of up to 10 columns, and both single-
+/// and multi-table datasets.
+std::vector<data::Dataset> PinSweep() {
+  std::vector<data::Dataset> out;
+  for (int i = 0; i < 48; ++i) {
+    Rng rng(9000 + static_cast<uint64_t>(i));
+    data::DatasetGenParams p;
+    p.name = "pin" + std::to_string(i);
+    p.min_tables = 1;
+    p.max_tables = 1 + i % 4;
+    p.min_columns = 1;
+    p.max_columns = 1 + i % 10;
+    p.min_rows = 1;
+    p.max_rows = i % 3 == 0 ? 4 : 1500;
+    p.min_domain = 1;
+    p.max_domain = i % 5 == 0 ? 1 : 30000;
+    out.push_back(data::GenerateDataset(p, &rng));
+  }
+  return out;
+}
+
+TEST(FeatureGraphTest, ExtractIsPinned) {
+  // Recommendations, RCS graphs and every fingerprint-keyed record
+  // depend on the exact feature bits, so Extract's output must never
+  // change: each dataset's GraphFingerprint is folded into one digest
+  // per layout.
+  std::vector<data::Dataset> sweep = PinSweep();
+  bool rows_seen[4] = {false, false, false, false};
+  bool constant_column = false, wide_table = false;
+  bool single_table = false, multi_table = false;
+  for (const data::Dataset& ds : sweep) {
+    (ds.NumTables() == 1 ? single_table : multi_table) = true;
+    for (const data::Table& t : ds.tables()) {
+      if (t.NumRows() <= 3) rows_seen[t.NumRows()] = true;
+      wide_table |= t.NumColumns() > 8;
+      for (const data::Column& c : t.columns) {
+        constant_column |=
+            t.NumRows() >= 4 &&
+            std::all_of(c.values.begin(), c.values.end(),
+                        [&](int32_t v) { return v == c.values[0]; });
+      }
+    }
+  }
+  ASSERT_TRUE(rows_seen[1] && rows_seen[2] && rows_seen[3]);
+  ASSERT_TRUE(constant_column && wide_table && single_table && multi_table);
+
+  auto digest = [&](int max_columns) {
+    FeatureGraphConfig cfg;
+    cfg.max_columns = max_columns;
+    FeatureExtractor fx(cfg);
+    uint64_t h = 14695981039346656037ULL;
+    for (const data::Dataset& ds : sweep) {
+      h = (h ^ GraphFingerprint(fx.Extract(ds))) * 1099511628211ULL;
+    }
+    return h;
+  };
+  EXPECT_EQ(digest(8), 0xE5C71EA017087649ULL);
+  EXPECT_EQ(digest(3), 0x0B2198D5C59E3E33ULL);
 }
 
 TEST(GraphFingerprintTest, ValuesArePinned) {

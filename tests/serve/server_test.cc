@@ -12,10 +12,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generator.h"
@@ -30,6 +34,19 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Bitwise equality of two recommendations.
+void ExpectSameRecommendation(const advisor::AutoCe::Recommendation& a,
+                              const advisor::AutoCe::Recommendation& b) {
+  EXPECT_EQ(a.model, b.model);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.neighbors, b.neighbors);
+  ASSERT_EQ(a.score_vector.size(), b.score_vector.size());
+  for (size_t i = 0; i < a.score_vector.size(); ++i) {
+    EXPECT_TRUE(SameBits(a.score_vector[i], b.score_vector[i]))
+        << "score " << i;
+  }
+}
+
 /// Bitwise equality of the deterministic response fields. `from_cache`
 /// is execution metadata (depends on arrival history) and is excluded
 /// by contract — see RecommendResponse.
@@ -38,16 +55,7 @@ void ExpectSameResponse(const RecommendResponse& a,
   EXPECT_EQ(a.id, b.id);
   EXPECT_EQ(a.status.code(), b.status.code());
   EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.recommendation.model, b.recommendation.model);
-  EXPECT_EQ(a.recommendation.degraded, b.recommendation.degraded);
-  EXPECT_EQ(a.recommendation.neighbors, b.recommendation.neighbors);
-  ASSERT_EQ(a.recommendation.score_vector.size(),
-            b.recommendation.score_vector.size());
-  for (size_t i = 0; i < a.recommendation.score_vector.size(); ++i) {
-    EXPECT_TRUE(SameBits(a.recommendation.score_vector[i],
-                         b.recommendation.score_vector[i]))
-        << "score " << i;
-  }
+  ExpectSameRecommendation(a.recommendation, b.recommendation);
 }
 
 std::vector<advisor::DatasetLabel> SyntheticLabels(size_t n) {
@@ -452,6 +460,157 @@ TEST_F(ServerTest, ReloadAdvancesGenerationAndServesNewModel) {
     EXPECT_TRUE(SameBits(response.recommendation.score_vector[s],
                          direct->score_vector[s]));
   }
+}
+
+TEST_F(ServerTest, ReloadDropsCachedEmbeddingsOnlyWhenTheEncoderMoved) {
+  // The server digests each advisor's encoder once, when it installs
+  // it; a reload must replace that digest, or the cache keeps serving
+  // embeddings of the previous encoder.
+  std::string dir = TempStoreDir("serve_reload_cache");
+  advisor::AutoCe advisor(TinyConfig());
+  ASSERT_TRUE(advisor.EnableSnapshots(dir).ok());
+  std::vector<featgraph::FeatureGraph> train(graphs_->begin(),
+                                             graphs_->begin() + 9);
+  std::vector<advisor::DatasetLabel> train_labels(labels_->begin(),
+                                                  labels_->begin() + 9);
+  ASSERT_TRUE(advisor.Fit(train, train_labels).ok());
+  auto server = AdvisorServer::Open(dir);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  RecommendRequest x;
+  x.id = 7;
+  x.graph = (*graphs_)[10];
+  x.w_a = 0.7;
+  EXPECT_FALSE((*server)->ServeOne(x).from_cache);
+  EXPECT_TRUE((*server)->ServeOne(x).from_cache);
+
+  auto expect_direct_bits = [&](const RecommendResponse& response) {
+    ASSERT_TRUE(response.status.ok());
+    auto direct = advisor.Recommend(x.graph, x.w_a);
+    ASSERT_TRUE(direct.ok());
+    ExpectSameRecommendation(response.recommendation, *direct);
+  };
+
+  // An online update retrains the encoder and commits a generation.
+  uint64_t digest_before = advisor.EncoderDigest();
+  ASSERT_TRUE(
+      advisor.AddLabeledSample((*graphs_)[9], (*labels_)[9]).ok());
+  ASSERT_NE(advisor.EncoderDigest(), digest_before);
+  ASSERT_TRUE((*server)->Reload().ok());
+  RecommendResponse updated = (*server)->ServeOne(x);
+  EXPECT_FALSE(updated.from_cache);
+  expect_direct_bits(updated);
+
+  // Committing the unchanged state is a new generation with the same
+  // encoder: the cached embedding stays valid.
+  uint64_t generation = (*server)->generation();
+  ASSERT_TRUE(advisor.SaveSnapshot().ok());
+  ASSERT_TRUE((*server)->Reload().ok());
+  EXPECT_GT((*server)->generation(), generation);
+  RecommendResponse kept = (*server)->ServeOne(x);
+  EXPECT_TRUE(kept.from_cache);
+  expect_direct_bits(kept);
+}
+
+TEST_F(ServerTest, OverlappingBurstsOnTwoGenerationsNeverMixEncoders) {
+  // Two serving threads and hot reloads that alternate between two
+  // unrelated advisors. A burst pinned to one generation can embed its
+  // misses while a burst on the other resets the cache to its own
+  // digest; those embeddings must not be cached under that digest, or
+  // later hits answer with the other encoder's geometry.
+  advisor::AutoCeConfig cfg_b = TinyConfig();
+  cfg_b.seed = 4242;
+  advisor::AutoCe advisor_b(cfg_b);
+  std::vector<featgraph::FeatureGraph> train_b(graphs_->begin() + 3,
+                                               graphs_->end());
+  std::vector<advisor::DatasetLabel> labels_b(labels_->begin() + 3,
+                                              labels_->end());
+  ASSERT_TRUE(advisor_b.Fit(train_b, labels_b).ok());
+  std::string path_b = *saved_path_ + "_b";
+  ASSERT_TRUE(advisor_b.Save(path_b).ok());
+  auto sections_a = util::ReadSnapshotFile(*saved_path_);
+  auto sections_b = util::ReadSnapshotFile(path_b);
+  std::remove(path_b.c_str());
+  ASSERT_TRUE(sections_a.ok() && sections_b.ok());
+
+  const std::vector<RecommendRequest> requests = AllRequests();
+  advisor::AutoCe advisor_a = LoadAdvisor();
+  std::vector<advisor::AutoCe::Recommendation> expected[2];
+  bool advisors_differ = false;
+  for (const RecommendRequest& r : requests) {
+    auto a = advisor_a.Recommend(r.graph, r.w_a);
+    auto b = advisor_b.Recommend(r.graph, r.w_a);
+    ASSERT_TRUE(a.ok() && b.ok());
+    advisors_differ = advisors_differ || a->neighbors != b->neighbors;
+    expected[0].push_back(std::move(*a));
+    expected[1].push_back(std::move(*b));
+  }
+  ASSERT_TRUE(advisors_differ);
+
+  std::string dir = TempStoreDir("serve_reload_overlap");
+  auto store = util::SnapshotStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Commit(*sections_a, util::CommitDurability::kLazy).ok());
+  ServerConfig config;
+  config.max_batch = 1;  // a lookup/insert window per request
+  auto server = AdvisorServer::Open(dir, config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  // Generation -> advisor (0 = a, 1 = b), registered before the reload
+  // that installs it.
+  std::mutex mu;
+  std::map<uint64_t, int> advisor_of{{(*server)->generation(), 0}};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> served{0};
+  std::atomic<size_t> mismatches{0};
+  auto serve_loop = [&] {
+    while (!done.load()) {
+      std::vector<RecommendResponse> responses = (*server)->Serve(requests);
+      int which;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        which = advisor_of.at(responses[0].model_generation);
+      }
+      for (size_t i = 0; i < responses.size(); ++i) {
+        const auto& got = responses[i].recommendation;
+        const auto& want = expected[which][i];
+        bool same = responses[i].status.ok() && got.model == want.model &&
+                    got.neighbors == want.neighbors &&
+                    got.score_vector.size() == want.score_vector.size();
+        for (size_t s = 0; same && s < want.score_vector.size(); ++s) {
+          same = SameBits(got.score_vector[s], want.score_vector[s]);
+        }
+        if (!same) mismatches.fetch_add(1);
+      }
+      served.fetch_add(responses.size());
+    }
+  };
+  std::thread first(serve_loop);
+  std::thread second(serve_loop);
+  bool reloads_ok = true;
+  for (int round = 1; round <= 100 && reloads_ok; ++round) {
+    const int which = round % 2;
+    auto generation = store->Commit(which == 0 ? *sections_a : *sections_b,
+                                    util::CommitDurability::kLazy);
+    if (!generation.ok()) {
+      reloads_ok = false;
+      break;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      advisor_of[*generation] = which;
+    }
+    reloads_ok = (*server)->Reload().ok();
+    // Let both threads serve this generation before the next flip.
+    const size_t until = served.load() + 4 * requests.size();
+    while (served.load() < until) std::this_thread::yield();
+  }
+  done.store(true);
+  first.join();
+  second.join();
+  ASSERT_TRUE(reloads_ok);
+  EXPECT_EQ(mismatches.load(), 0u) << "of " << served.load() << " served";
+  EXPECT_EQ((*server)->stats().reloads, 100u);
 }
 
 TEST_F(ServerTest, ReloadWithoutStoreFailsAndKeepsServing) {

@@ -62,7 +62,7 @@ TEST(RngTest, GaussianMoments) {
   std::vector<double> xs(40000);
   for (auto& x : xs) x = rng.Gaussian();
   EXPECT_NEAR(stats::Mean(xs), 0.0, 0.03);
-  EXPECT_NEAR(stats::StdDev(xs), 1.0, 0.03);
+  EXPECT_NEAR(stats::MomentsOf(xs).stddev, 1.0, 0.03);
 }
 
 TEST(RngTest, ParetoSkewZeroIsUniform) {
@@ -71,7 +71,7 @@ TEST(RngTest, ParetoSkewZeroIsUniform) {
   for (auto& x : xs) x = rng.ParetoSkewed(0.0, 0.0, 1.0);
   EXPECT_NEAR(stats::Mean(xs), 0.5, 0.02);
   // Uniform has skewness ~ 0.
-  EXPECT_NEAR(stats::Skewness(xs), 0.0, 0.1);
+  EXPECT_NEAR(stats::MomentsOf(xs).skewness, 0.0, 0.1);
 }
 
 TEST(RngTest, ParetoSkewIncreasesWithParameter) {
@@ -79,7 +79,7 @@ TEST(RngTest, ParetoSkewIncreasesWithParameter) {
   auto sample_skew = [&](double skew) {
     std::vector<double> xs(20000);
     for (auto& x : xs) x = rng.ParetoSkewed(skew, 0.0, 1.0);
-    return stats::Skewness(xs);
+    return stats::MomentsOf(xs).skewness;
   };
   double s_low = sample_skew(0.2);
   double s_high = sample_skew(0.9);

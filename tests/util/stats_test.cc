@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace autoce {
@@ -15,29 +17,60 @@ TEST(StatsTest, MeanBasic) {
 }
 
 TEST(StatsTest, StdDevBasic) {
-  EXPECT_DOUBLE_EQ(stats::StdDev({2, 2, 2}), 0.0);
-  EXPECT_NEAR(stats::StdDev({1, 2, 3, 4}), std::sqrt(1.25), 1e-12);
-  EXPECT_DOUBLE_EQ(stats::StdDev({7}), 0.0);
+  EXPECT_DOUBLE_EQ(stats::MomentsOf<double>({2, 2, 2}).stddev, 0.0);
+  EXPECT_NEAR(stats::MomentsOf<double>({1, 2, 3, 4}).stddev, std::sqrt(1.25),
+              1e-12);
+  EXPECT_DOUBLE_EQ(stats::MomentsOf<double>({7}).stddev, 0.0);
 }
 
 TEST(StatsTest, SkewnessSymmetricIsZero) {
-  EXPECT_NEAR(stats::Skewness({1, 2, 3, 4, 5}), 0.0, 1e-12);
+  EXPECT_NEAR(stats::MomentsOf<double>({1, 2, 3, 4, 5}).skewness, 0.0, 1e-12);
 }
 
 TEST(StatsTest, SkewnessRightTailPositive) {
   std::vector<double> v{1, 1, 1, 1, 10};
-  EXPECT_GT(stats::Skewness(v), 0.5);
+  EXPECT_GT(stats::MomentsOf(v).skewness, 0.5);
 }
 
 TEST(StatsTest, SkewnessConstantIsZero) {
-  EXPECT_DOUBLE_EQ(stats::Skewness({3, 3, 3, 3}), 0.0);
+  EXPECT_DOUBLE_EQ(stats::MomentsOf<double>({3, 3, 3, 3}).skewness, 0.0);
 }
 
 TEST(StatsTest, KurtosisHeavyTails) {
   // A distribution with an extreme outlier has positive excess kurtosis.
   std::vector<double> heavy{0, 0, 0, 0, 0, 0, 0, 0, 0, 100};
-  EXPECT_GT(stats::Kurtosis(heavy), 1.0);
-  EXPECT_DOUBLE_EQ(stats::Kurtosis({5, 5, 5, 5}), 0.0);
+  EXPECT_GT(stats::MomentsOf(heavy).kurtosis, 1.0);
+  EXPECT_DOUBLE_EQ(stats::MomentsOf<double>({5, 5, 5, 5}).kurtosis, 0.0);
+}
+
+TEST(StatsTest, MomentsGuardsBySize) {
+  // Skewness needs 3 elements and kurtosis 4; below that they read 0.
+  stats::Moments two = stats::MomentsOf<double>({1, 5});
+  EXPECT_DOUBLE_EQ(two.mean, 3.0);
+  EXPECT_DOUBLE_EQ(two.stddev, 2.0);
+  EXPECT_DOUBLE_EQ(two.skewness, 0.0);
+  EXPECT_DOUBLE_EQ(two.kurtosis, 0.0);
+  stats::Moments three = stats::MomentsOf<double>({1, 1, 10});
+  EXPECT_GT(three.skewness, 0.5);
+  EXPECT_DOUBLE_EQ(three.kurtosis, 0.0);
+  stats::Moments empty = stats::MomentsOf(std::vector<double>{});
+  EXPECT_DOUBLE_EQ(empty.mean, 0.0);
+  EXPECT_DOUBLE_EQ(empty.stddev, 0.0);
+}
+
+TEST(StatsTest, MomentsOfCodesMatchDoublesBitForBit) {
+  // Feature extraction reads int32 codes in place; every moment must be
+  // the same bits as over the codes widened to double.
+  std::vector<int32_t> codes;
+  for (int i = 0; i < 997; ++i) codes.push_back((i * 7919) % 1013 - 300);
+  std::vector<double> wide(codes.begin(), codes.end());
+  stats::Moments a = stats::MomentsOf(codes);
+  stats::Moments b = stats::MomentsOf(wide);
+  for (auto field : {&stats::Moments::mean, &stats::Moments::stddev,
+                     &stats::Moments::skewness, &stats::Moments::kurtosis,
+                     &stats::Moments::min, &stats::Moments::max}) {
+    EXPECT_EQ(std::memcmp(&(a.*field), &(b.*field), sizeof(double)), 0);
+  }
 }
 
 TEST(StatsTest, PearsonPerfectCorrelation) {
