@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "engine/executor.h"
 #include "engine/join_sampler.h"
@@ -130,7 +131,6 @@ double AutoregressiveModel::EstimateSelectivity(
     const std::vector<int32_t>& lo, const std::vector<int32_t>& hi,
     const std::vector<char>& constrained, int num_samples, Rng* rng) const {
   if (columns_.empty()) return 1.0;
-  size_t d = static_cast<size_t>(params_.embedding_dim);
   // Progressive sampling can stop after the last constrained column: the
   // remaining conditionals marginalize to 1.
   size_t last = 0;
@@ -143,56 +143,121 @@ double AutoregressiveModel::EstimateSelectivity(
   }
   if (!any) return 1.0;
 
+  // One bin-coverage table per constrained column. A sample stops at a
+  // column whose interval mass is 0, so at the first interval covering
+  // no bin every sample stops: until there, each draws one uniform per
+  // column.
+  std::vector<std::vector<double>> coverage(last + 1);
+  size_t expected_draws = last + 1;
+  for (size_t c = 0; c <= last; ++c) {
+    if (!constrained[c]) continue;
+    coverage[c].resize(static_cast<size_t>(columns_[c].num_bins));
+    bool covers = false;
+    for (int b = 0; b < columns_[c].num_bins; ++b) {
+      double cov = BinCoverage(c, b, lo[c], hi[c]);
+      coverage[c][static_cast<size_t>(b)] = cov;
+      covers = covers || cov > 0.0;
+    }
+    if (!covers) expected_draws = std::min(expected_draws, c);
+  }
+
+  // Batches continue until every sample is kept. A sample that needed a
+  // draw past expected_draws (NaN mass where all samples were expected
+  // to stop) reruns alone with one draw per column.
+  size_t samples = num_samples > 0 ? static_cast<size_t>(num_samples) : 0;
+  std::vector<double> weights;
+  weights.reserve(samples);
+  bool overran = false;
+  while (weights.size() < samples) {
+    size_t count = overran ? 1 : samples - weights.size();
+    size_t per_sample = overran ? last + 1 : expected_draws;
+    Rng batch_start = *rng;
+    BatchOutcome out = SampleBatch(constrained, coverage, last, count,
+                                   per_sample, rng, &weights);
+    if (out.draws < count * per_sample) {
+      // Rewind to exactly the draws the kept samples consumed.
+      *rng = batch_start;
+      for (size_t i = 0; i < out.draws; ++i) rng->Uniform();
+    }
+    overran = out.overran;
+  }
   double total = 0.0;
-  for (int s = 0; s < num_samples; ++s) {
-    nn::Matrix ctx(1, d, 0.0);
-    double weight = 1.0;
-    for (size_t c = 0; c <= last; ++c) {
-      nn::Matrix probs = nn::Softmax(Logits(c, ctx, nullptr, nullptr));
-      int bins = columns_[c].num_bins;
-      int chosen = -1;
+  for (double w : weights) total += w;
+  return total / static_cast<double>(num_samples);
+}
+
+AutoregressiveModel::BatchOutcome AutoregressiveModel::SampleBatch(
+    const std::vector<char>& constrained,
+    const std::vector<std::vector<double>>& coverage, size_t last,
+    size_t count, size_t per_sample, Rng* rng,
+    std::vector<double>* weights) const {
+  size_t d = static_cast<size_t>(params_.embedding_dim);
+  // Draws in the one-at-a-time order: sample by sample, column by column.
+  std::vector<double> draws(count * per_sample);
+  for (double& u : draws) u = rng->Uniform();
+
+  BatchOutcome out{count, count * per_sample, false};
+  std::vector<double> weight(count, 1.0);
+  std::vector<double> masked;
+  nn::Matrix ctx(count, d, 0.0);  // row s: sample s's context
+  // Column 0's context is zero for every sample, so one row serves all.
+  const nn::Matrix zero_ctx(1, d, 0.0);
+  size_t rows = count;  // samples [0, rows) still advance
+  for (size_t c = 0; c <= std::min(last, per_sample) && rows > 0; ++c) {
+    if (ctx.rows() > rows) ctx = ctx.SubRows(0, rows);
+    const nn::Matrix& context = c == 0 ? zero_ctx : ctx;
+    nn::Matrix probs = nn::Softmax(Logits(c, context, nullptr, nullptr));
+    int bins = columns_[c].num_bins;
+    size_t stride = c == 0 ? 0 : static_cast<size_t>(bins);
+    masked.resize(static_cast<size_t>(bins));
+    for (size_t s = 0; s < rows; ++s) {
+      const double* dist = probs.data() + s * stride;
+      double mass = 1.0;
       if (constrained[c]) {
-        double mass = 0.0;
-        std::vector<double> masked(static_cast<size_t>(bins), 0.0);
+        mass = 0.0;
         for (int b = 0; b < bins; ++b) {
-          double cov = BinCoverage(c, b, lo[c], hi[c]);
-          masked[static_cast<size_t>(b)] = probs(0, static_cast<size_t>(b)) * cov;
-          mass += masked[static_cast<size_t>(b)];
+          size_t i = static_cast<size_t>(b);
+          masked[i] = dist[i] * coverage[c][i];
+          mass += masked[i];
         }
-        weight *= mass;
+        weight[s] *= mass;
         if (mass <= 0.0) {
-          weight = 0.0;
+          weight[s] = 0.0;
+          if (c == per_sample) continue;  // the expected stop
+          // An early stop: samples [0, s] drew the uniforms laid out for
+          // them; the samples after s must be batched again.
+          out = {s + 1, s * per_sample + c, false};
+          rows = s;
           break;
         }
-        double u = rng->Uniform() * mass;
-        double acc = 0.0;
-        for (int b = 0; b < bins; ++b) {
-          acc += masked[static_cast<size_t>(b)];
-          if (acc >= u) {
-            chosen = b;
-            break;
-          }
-        }
-        if (chosen < 0) chosen = bins - 1;
-      } else {
-        double u = rng->Uniform();
-        double acc = 0.0;
-        for (int b = 0; b < bins; ++b) {
-          acc += probs(0, static_cast<size_t>(b));
-          if (acc >= u) {
-            chosen = b;
-            break;
-          }
-        }
-        if (chosen < 0) chosen = bins - 1;
+        dist = masked.data();
       }
+      if (c == per_sample) {
+        // Needs a draw it was not given: rerun s and the samples after it.
+        out = {s, s * per_sample, true};
+        rows = s;
+        break;
+      }
+      double u = draws[s * per_sample + c];
+      if (constrained[c]) u *= mass;
+      double acc = 0.0;
+      int chosen = -1;
+      for (int b = 0; b < bins; ++b) {
+        acc += dist[static_cast<size_t>(b)];
+        if (acc >= u) {
+          chosen = b;
+          break;
+        }
+      }
+      if (chosen < 0) chosen = bins - 1;
       for (size_t k = 0; k < d; ++k) {
-        ctx(0, k) += embeddings_[c](static_cast<size_t>(chosen), k);
+        ctx(s, k) += embeddings_[c](static_cast<size_t>(chosen), k);
       }
     }
-    total += weight;
   }
-  return total / static_cast<double>(num_samples);
+  weights->insert(weights->end(), weight.begin(),
+                  weight.begin() + static_cast<std::ptrdiff_t>(out.kept));
+  return out;
 }
 
 NeuroCardEstimator::NeuroCardEstimator(const ModelTrainingScale& scale)
@@ -272,15 +337,17 @@ double NeuroCardEstimator::JoinSizeOf(const query::Query& q) {
   // fan-outs. The multiplicative approximation (exact only when
   // fan-outs are attribute-independent) is precisely the real system's
   // multi-table bias.
-  uint32_t mask = 0;
-  for (int t : q.tables) mask |= 1u << t;
-  auto it = join_sizes_.find(mask);
+  // The key is a set: the first query over a table set fixes its size.
+  std::vector<int> key = q.tables;
+  std::sort(key.begin(), key.end());
+  key.erase(std::unique(key.begin(), key.end()), key.end());
+  auto it = join_sizes_.find(key);
   if (it != join_sizes_.end()) return it->second;
   query::Query unfiltered;
   unfiltered.tables = q.tables;
   unfiltered.joins = q.joins;
   double size = join_model_.UnfilteredJoinSize(unfiltered);
-  join_sizes_[mask] = size;
+  join_sizes_.emplace(std::move(key), size);
   return size;
 }
 

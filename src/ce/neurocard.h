@@ -2,8 +2,8 @@
 #define AUTOCE_CE_NEUROCARD_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ce/estimator.h"
@@ -56,7 +56,9 @@ class AutoregressiveModel {
   /// `lo[i]`, `hi[i]` give the allowed coded interval per column (use the
   /// full domain for unconstrained columns); `constrained[i]` marks the
   /// queried columns. `num_samples` controls the accuracy/latency
-  /// trade-off.
+  /// trade-off. The samples advance column by column as one batch; the
+  /// estimate and the uniforms drawn from `rng` are those of sampling one
+  /// sample at a time (DESIGN.md §5.16).
   double EstimateSelectivity(const std::vector<int32_t>& lo,
                              const std::vector<int32_t>& hi,
                              const std::vector<char>& constrained,
@@ -70,7 +72,25 @@ class AutoregressiveModel {
   /// Fraction of bin `b`'s value range inside [lo, hi].
   double BinCoverage(size_t col, int b, int32_t lo, int32_t hi) const;
 
-  /// Bin logits for column `col` given a context vector (1 x embedding).
+  /// How one SampleBatch call ended.
+  struct BatchOutcome {
+    size_t kept;    ///< leading samples whose weights were appended
+    size_t draws;   ///< uniforms those samples consumed
+    bool overran;   ///< sample `kept` needed more than `per_sample` draws
+  };
+
+  /// Advances `count` samples together over columns
+  /// [0, min(last, per_sample)], drawing `per_sample` uniforms for each
+  /// from `rng` in sample-major order. Cuts the batch at the first sample
+  /// that needs fewer or more draws than `per_sample` and appends the
+  /// weights of the samples before it (and of it, if it stopped early) to
+  /// `weights`.
+  BatchOutcome SampleBatch(const std::vector<char>& constrained,
+                           const std::vector<std::vector<double>>& coverage,
+                           size_t last, size_t count, size_t per_sample,
+                           Rng* rng, std::vector<double>* weights) const;
+
+  /// Bin logits for column `col` given context rows (n x embedding).
   nn::Matrix Logits(size_t col, const nn::Matrix& context,
                     nn::MlpTrace* trunk_trace,
                     nn::MlpTrace* head_trace) const;
@@ -116,8 +136,9 @@ class NeuroCardEstimator : public CardinalityEstimator {
   std::vector<std::vector<int>> column_index_;
   /// Fan-out statistics used to downscale subset join sizes.
   JoinCardModel join_model_;
-  /// Cached approximate unfiltered join sizes keyed by table bitmask.
-  std::unordered_map<uint32_t, double> join_sizes_;
+  /// Cached approximate unfiltered join sizes keyed by the sorted table
+  /// list.
+  std::map<std::vector<int>, double> join_sizes_;
   Rng sample_rng_{987};
 };
 

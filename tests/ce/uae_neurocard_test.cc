@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "ce/neurocard.h"
 #include "data/generator.h"
 #include "engine/executor.h"
+#include "query/query.h"
 
 namespace autoce::ce {
 namespace {
@@ -132,6 +134,254 @@ TEST(UaeTest, CalibrationDoesNotExplodeEstimates) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1e12);
   }
+}
+
+// Folds the bits of `v` into an FNV-1a digest.
+uint64_t Fold(uint64_t h, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return (h ^ bits) * 1099511628211ULL;
+}
+
+constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
+
+// Exposes the trained autoregressive core, so the test can drive
+// EstimateSelectivity on a stream it owns and read the stream position.
+class NeuroCardProbe : public NeuroCardEstimator {
+ public:
+  using NeuroCardEstimator::NeuroCardEstimator;
+  const AutoregressiveModel& model() const { return model_; }
+};
+
+// Non-key columns of table t, in schema order: the estimator models them
+// as consecutive AR columns, and table 0's come first.
+std::vector<int> NonKeyColumns(const data::Dataset& ds, int t) {
+  std::vector<int> out;
+  const data::Table& tab = ds.table(t);
+  for (int c = 0; c < tab.NumColumns(); ++c) {
+    bool key = c == tab.primary_key;
+    for (const auto& fk : ds.foreign_keys()) {
+      key = key || (fk.fk_table == t && fk.fk_column == c);
+    }
+    if (!key) out.push_back(c);
+  }
+  return out;
+}
+
+query::Predicate Range(int table, int column, int32_t lo, int32_t hi) {
+  query::Predicate p;
+  p.table = table;
+  p.column = column;
+  p.lo = lo;
+  p.hi = hi;
+  return p;
+}
+
+TEST(NeuroCardTest, EstimatesArePinned) {
+  // Progressive sampling advances its samples as one batch. Every
+  // estimate, and the number of uniforms each one draws from the shared
+  // stream, must stay those of the one-sample-at-a-time loop: the
+  // testbed and UAE's calibration run many estimates on one stream.
+  uint64_t nc_digest = kFnvBasis, uae_digest = kFnvBasis, ar_digest = kFnvBasis;
+  for (int tables = 1; tables <= 4; ++tables) {
+    Rng rng(600 + static_cast<uint64_t>(tables));
+    data::DatasetGenParams p;
+    p.min_tables = p.max_tables = tables;
+    p.min_columns = 3;
+    p.max_columns = 4;
+    p.min_rows = 150;
+    p.max_rows = 400;
+    data::Dataset ds = data::GenerateDataset(p, &rng);
+    query::WorkloadParams wp;
+    wp.num_queries = 40;
+    std::vector<query::Query> queries = query::GenerateWorkload(ds, wp, &rng);
+    std::vector<double> cards = engine::TrueCardinalities(ds, queries);
+    TrainContext ctx;
+    ctx.dataset = &ds;
+    ctx.train_queries = &queries;
+    ctx.train_cards = &cards;
+    ctx.seed = 700 + static_cast<uint64_t>(tables);
+    ModelTrainingScale scale = ModelTrainingScale::Fast();
+    scale.join_sample_rows = 400;
+    NeuroCardProbe neurocard(scale);
+    UaeEstimator uae(scale);
+    ASSERT_TRUE(neurocard.Train(ctx).ok());
+    ASSERT_TRUE(uae.Train(ctx).ok());
+
+    // Single-table queries on table 0, whose non-key columns are AR
+    // columns 0, 1, 2: an interval covering no bin (lo > hi) on column 0,
+    // then on the middle one of three constrained columns.
+    std::vector<int> cols = NonKeyColumns(ds, 0);
+    ASSERT_GE(cols.size(), 3u);
+    auto domain = [&](int c) {
+      return ds.table(0).columns[static_cast<size_t>(cols[static_cast<size_t>(c)])]
+          .domain_size;
+    };
+    query::Query empty_first, empty_middle, key_only;
+    empty_first.tables = empty_middle.tables = key_only.tables = {0};
+    empty_first.predicates = {Range(0, cols[0], 3, 2),
+                              Range(0, cols[1], 1, domain(1) / 2)};
+    empty_middle.predicates = {Range(0, cols[0], 1, domain(0) / 2),
+                               Range(0, cols[1], 3, 2),
+                               Range(0, cols[2], domain(2) / 2, domain(2))};
+    int key = ds.table(0).primary_key;  // -1 on single-table datasets
+    if (key >= 0) key_only.predicates = {Range(0, key, 1, 10)};
+
+    auto run = [&](CardinalityEstimator* model, uint64_t* h) {
+      // One stream, as in the testbed; the handcrafted queries sit among
+      // workload queries so later estimates see where they left it.
+      for (size_t i = 0; i < queries.size(); ++i) {
+        *h = Fold(*h, model->EstimateCardinality(queries[i]));
+        if (i == 5) *h = Fold(*h, model->EstimateCardinality(empty_first));
+        if (i == 10) *h = Fold(*h, model->EstimateCardinality(empty_middle));
+        if (i == 15 && key >= 0) {
+          *h = Fold(*h, model->EstimateCardinality(key_only));
+        }
+      }
+      // A reseeded stream per estimate, as in fss.
+      for (size_t i = 0; i < queries.size(); ++i) {
+        model->SeedInference(7919 * i + 1);
+        *h = Fold(*h, model->EstimateCardinality(queries[i]));
+      }
+    };
+    run(&neurocard, &nc_digest);
+    run(&uae, &uae_digest);
+
+    // The AR core on a stream the test owns: 1, 2 and 48 samples, each
+    // estimate followed by the stream's next uniform.
+    const AutoregressiveModel& ar = neurocard.model();
+    size_t n = ar.columns().size();
+    std::vector<int32_t> lo(n, 1), hi(n);
+    std::vector<char> every_other(n, 0), last_only(n, 0);
+    for (size_t c = 0; c < n; ++c) {
+      hi[c] = ar.columns()[c].domain;
+      if (c % 2 == 0) {
+        every_other[c] = 1;
+        lo[c] = 1 + hi[c] / 4;
+      }
+    }
+    last_only[n - 1] = 1;
+    Rng stream(800 + static_cast<uint64_t>(tables));
+    for (int samples : {1, 2, 48}) {
+      for (const std::vector<char>* constrained : {&every_other, &last_only}) {
+        ar_digest = Fold(ar_digest, ar.EstimateSelectivity(lo, hi, *constrained,
+                                                           samples, &stream));
+        ar_digest = Fold(ar_digest, stream.Uniform());
+      }
+    }
+  }
+  EXPECT_EQ(nc_digest, 0x6B135EB7ACBB7C3EULL);
+  EXPECT_EQ(uae_digest, 0x0184E843B94F7D7FULL);
+  EXPECT_EQ(ar_digest, 0xCBEECA9879E45A3BULL);
+}
+
+// Trains the AR core on three 32-value columns where column 1 repeats
+// column 0's choice of 1 or 32 and column 2 is uniform noise.
+AutoregressiveModel TrainCopyModel(uint64_t seed, double learning_rate) {
+  AutoregressiveModel model;
+  AutoregressiveModel::Params params;
+  params.learning_rate = learning_rate;
+  params.epochs = 4;
+  params.hidden = 8;
+  Rng rng(seed);
+  std::vector<AutoregressiveModel::ColumnSpec> cols(3);
+  for (int c = 0; c < 3; ++c) {
+    cols[static_cast<size_t>(c)].table = 0;
+    cols[static_cast<size_t>(c)].column = c;
+    cols[static_cast<size_t>(c)].domain = 32;
+  }
+  model.Init(cols, params, &rng);
+  std::vector<std::vector<int32_t>> rows;
+  for (int i = 0; i < 400; ++i) {
+    int32_t first = rng.Bernoulli(0.5) ? 1 : 32;
+    rows.push_back({first, first, static_cast<int32_t>(rng.UniformInt(1, 32))});
+  }
+  model.Train(rows);
+  return model;
+}
+
+// Number of uniforms drawn between `from` and `to` on one stream.
+int DrawsBetween(Rng from, const Rng& to) {
+  for (int n = 0; n < 100000; ++n) {
+    if (from.SaveState().s == to.SaveState().s) return n;
+    from.Uniform();
+  }
+  return -1;
+}
+
+TEST(AutoregressiveModelTest, StoppedSamplesArePinned) {
+  // A sample stops where its interval's mass is 0: at a column whose
+  // interval covers no bin every sample stops, but an over-confident
+  // model also rounds covered bins to probability 0 after some prefixes.
+  // Estimates and the stream position after them must stay those of the
+  // one-sample-at-a-time loop in both cases.
+  AutoregressiveModel model = TrainCopyModel(2, 1.0);
+  const std::vector<int32_t> lo{1, 1, 1}, hi{32, 1, 32};
+  const std::vector<char> constrained{0, 1, 1};
+  uint64_t h = kFnvBasis;
+  Rng stream(9);
+  for (int samples : {1, 7, 48}) {
+    Rng before = stream;
+    double est = model.EstimateSelectivity(lo, hi, constrained, samples, &stream);
+    // Some samples stop at column 1 after one draw, the rest draw three.
+    int draws = DrawsBetween(before, stream);
+    EXPECT_LT(draws, 3 * samples);
+    if (samples > 1) {
+      EXPECT_GT(draws, samples);
+      EXPECT_GT(est, 0.0);
+    }
+    h = Fold(Fold(h, est), stream.Uniform());
+  }
+  // Intervals covering no bin: on column 0, where every sample stops
+  // before its first draw, and on the middle constrained column.
+  h = Fold(h, model.EstimateSelectivity({3, 1, 1}, {2, 32, 32}, {1, 1, 1}, 48,
+                                        &stream));
+  h = Fold(h, stream.Uniform());
+  h = Fold(h, model.EstimateSelectivity({1, 3, 1}, {16, 2, 32}, {1, 1, 1}, 48,
+                                        &stream));
+  h = Fold(h, stream.Uniform());
+  EXPECT_EQ(h, 0x8D960DE5AAE5010DULL);
+
+  // A diverged model has NaN probabilities, so a column covering no bin
+  // has NaN mass and the samples do not stop there: each draws one
+  // uniform per column, as the one-at-a-time loop did.
+  AutoregressiveModel diverged = TrainCopyModel(2, 1e300);
+  Rng before = stream;
+  double est = diverged.EstimateSelectivity({1, 3, 1}, {16, 2, 32}, {1, 1, 1},
+                                            48, &stream);
+  EXPECT_TRUE(std::isnan(est));
+  EXPECT_EQ(DrawsBetween(before, stream), 3 * 48);
+}
+
+TEST(NeuroCardTest, JoinSizeCacheKeepsTablesPast31Apart) {
+  // Table ids past 31 must get their own join-size cache entries: a
+  // 32-bit table mask would shift table 33 onto table 1's bit and answer
+  // with table 1's cached size.
+  Rng rng(91);
+  data::DatasetGenParams p;
+  p.min_tables = p.max_tables = 34;
+  p.min_columns = p.max_columns = 2;
+  p.min_rows = 20;
+  p.max_rows = 60;
+  data::Dataset ds = data::GenerateDataset(p, &rng);
+  ASSERT_NE(ds.table(1).NumRows(), ds.table(33).NumRows());
+  ModelTrainingScale scale = ModelTrainingScale::Fast();
+  scale.join_sample_rows = 100;
+  scale.progressive_samples = 8;
+  TrainContext ctx;
+  ctx.dataset = &ds;
+  ctx.seed = 5;
+  NeuroCardEstimator warm(scale), fresh(scale);
+  ASSERT_TRUE(warm.Train(ctx).ok());
+  ASSERT_TRUE(fresh.Train(ctx).ok());
+  query::Query t1, t33;
+  t1.tables = {1};
+  t33.tables = {33};
+  warm.SeedInference(3);
+  EXPECT_GT(warm.EstimateCardinality(t1), 0.0);  // caches table 1's size
+  warm.SeedInference(3);
+  fresh.SeedInference(3);
+  EXPECT_EQ(warm.EstimateCardinality(t33), fresh.EstimateCardinality(t33));
 }
 
 }  // namespace
