@@ -249,7 +249,7 @@ int main() {
       .AddRaw("chaos_schedule", schedule->ToJson())
       .AddDouble("wall_seconds", timer.ElapsedSeconds())
       .AddMetricsSnapshot();
-  manifest.WriteTo("BENCH_soak.json");
+  AUTOCE_CHECK(manifest.WriteTo("BENCH_soak.json"));
   std::printf("# done in %.1fs -> BENCH_soak.json\n", timer.ElapsedSeconds());
   return 0;
 }

@@ -244,9 +244,12 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
     }
     if (obs::MetricsEnabled()) {
       // Each admitted request's latency is its time-in-burst when its
-      // batch finishes (the server is synchronous and batched).
+      // batch finishes (the server is synchronous and batched). The
+      // ones shed at the batch start were observed there.
       double elapsed = burst_timer.ElapsedMillis();
-      for (size_t j = b; j < end; ++j) request_ms->Observe(elapsed);
+      for (size_t j = b; j < end; ++j) {
+        if (!responses[admitted[j]].shed) request_ms->Observe(elapsed);
+      }
     }
   }
   return responses;

@@ -4,6 +4,7 @@
 // see DESIGN.md "Parallelism & determinism").
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -53,6 +54,7 @@ class PipelineDeterminismTest : public ::testing::TestWithParam<int> {
   struct PipelineResult {
     LabeledCorpus corpus;
     std::vector<std::vector<double>> embeddings;
+    uint64_t encoder_digest = 0;
     std::vector<ce::ModelId> recommendations;
   };
 
@@ -71,6 +73,7 @@ class PipelineDeterminismTest : public ::testing::TestWithParam<int> {
     AutoCe advisor(cfg);
     Status st = advisor.Fit(out.corpus.graphs, out.corpus.labels);
     EXPECT_TRUE(st.ok()) << st.message();
+    out.encoder_digest = advisor.EncoderDigest();
 
     for (const auto& g : out.corpus.graphs) {
       out.embeddings.push_back(advisor.Embed(g));
@@ -111,8 +114,9 @@ TEST_P(PipelineDeterminismTest, MatchesSingleThreadedRunBitForBit) {
     }
   }
 
-  // GIN embeddings after the full Fit (DML training, checkpointing,
-  // incremental learning).
+  // GIN parameters and embeddings after the full Fit (DML training,
+  // checkpointing, incremental learning).
+  EXPECT_EQ(base.encoder_digest, got.encoder_digest);
   ASSERT_EQ(base.embeddings.size(), got.embeddings.size());
   for (size_t i = 0; i < base.embeddings.size(); ++i) {
     ASSERT_EQ(base.embeddings[i].size(), got.embeddings[i].size());

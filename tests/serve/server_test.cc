@@ -223,6 +223,32 @@ TEST_F(ServerTest, ArrivalOrderAndBatchCompositionDoNotChangeResponses) {
       ExpectSameResponse(got, *ref);
     }
   }
+
+  // One request per batch, and one batch holding the whole burst, with
+  // the cache off so every request pays its embedding; each with the
+  // metrics sink off and on, since recording must not change any bit.
+  auto& registry = obs::MetricsRegistry::Instance();
+  for (size_t max_batch : {size_t{1}, size_t{8}, size_t{32}}) {
+    for (bool metrics : {false, true}) {
+      SCOPED_TRACE("max_batch " + std::to_string(max_batch) +
+                   (metrics ? ", metrics on" : ", metrics off"));
+      if (metrics) {
+        registry.Enable();
+      } else {
+        registry.Disable();
+      }
+      ServerConfig cfg;
+      cfg.max_batch = max_batch;
+      cfg.cache_capacity = 0;
+      AdvisorServer server(LoadAdvisor(), cfg);
+      auto responses = server.Serve(requests);
+      ASSERT_EQ(responses.size(), baseline.size());
+      for (size_t i = 0; i < responses.size(); ++i) {
+        ExpectSameResponse(responses[i], baseline[i]);
+      }
+    }
+  }
+  registry.Disable();
 }
 
 TEST_F(ServerTest, ResponsesAreBitIdenticalAcrossThreadCounts) {
@@ -676,6 +702,32 @@ TEST_F(ServerTest, MetricsCountersMatchServerStats) {
               std::to_string(stats.reload_failures));
   // Every admitted or shed request lands one latency observation.
   expect_line("serve_request_ms_count " + std::to_string(stats.requests));
+
+  // The DeadlineExpiringMidBurstShedsLaterBatches burst: all four
+  // requests are admitted, and the second batch's two are shed when it
+  // starts past the deadline. Each request still lands one observation.
+  registry.Enable();
+  registry.Reset();
+  ServerConfig late;
+  late.max_batch = 2;
+  late.request_deadline_ms = 12.0;
+  double now_s = 0.0;
+  late.clock = [&now_s] {
+    now_s += 0.005;
+    return now_s;
+  };
+  AdvisorServer late_server(LoadAdvisor(), late);
+  requests.resize(4);
+  late_server.Serve(requests);
+  ServerStats late_stats = late_server.stats();
+  EXPECT_EQ(late_stats.requests, 4u);
+  EXPECT_EQ(late_stats.deadline_shed, 2u);
+  text = registry.ExportPrometheus();
+  registry.Disable();
+  expect_line("serve_shed_total " + std::to_string(late_stats.shed));
+  expect_line("serve_deadline_shed_total " +
+              std::to_string(late_stats.deadline_shed));
+  expect_line("serve_request_ms_count " + std::to_string(late_stats.requests));
 }
 
 TEST_F(ServerTest, OnlineAppendRefreshesEmbeddingsIncrementally) {
