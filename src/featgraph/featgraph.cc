@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 
 #include "util/logging.h"
@@ -60,15 +61,23 @@ FeatureGraph FeatureExtractor::Extract(const data::Dataset& dataset) const {
   graph.edges =
       nn::Matrix(static_cast<size_t>(n), static_cast<size_t>(n), 0.0);
 
+  std::vector<std::span<const int32_t>> codes;
+  std::vector<stats::Moments> moments;
   for (int t = 0; t < n; ++t) {
     const data::Table& table = dataset.table(t);
     int cols = std::min(table.NumColumns(), m);
 
     // Per-column statistics (k features each), read from the codes in
-    // place.
+    // place, the table's columns in one call.
+    codes.clear();
+    for (int c = 0; c < cols; ++c) {
+      codes.emplace_back(table.columns[static_cast<size_t>(c)].values);
+    }
+    moments.resize(codes.size());
+    stats::MomentsOfColumns(codes, moments);
     for (int c = 0; c < cols; ++c) {
       const data::Column& col = table.columns[static_cast<size_t>(c)];
-      const stats::Moments mo = stats::MomentsOf(col.values);
+      const stats::Moments& mo = moments[static_cast<size_t>(c)];
       double domain = static_cast<double>(std::max<int32_t>(1, col.domain_size));
       // Exact in double for any int32 pair (at most 2^32), where the
       // same sum in int would overflow.

@@ -1,5 +1,6 @@
 #include "util/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -169,6 +170,61 @@ void ReluInPlace(double* x, size_t n) {
 void ReluBackward(const double* pre, double* grad, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     if (pre[i] <= 0.0) grad[i] = 0.0;
+  }
+}
+
+void SumMinMaxI32(const int32_t* x, size_t n, int64_t* sum, int32_t* min,
+                  int32_t* max) {
+  // Unsigned, so a sum past int64 wraps instead of being undefined.
+  uint64_t total = 0;
+  int32_t lo = INT32_MAX, hi = INT32_MIN;
+  for (size_t i = 0; i < n; ++i) {
+    total += static_cast<uint64_t>(static_cast<int64_t>(x[i]));
+    lo = std::min(lo, x[i]);
+    hi = std::max(hi, x[i]);
+  }
+  *sum = static_cast<int64_t>(total);
+  *min = lo;
+  *max = hi;
+}
+
+size_t CountEqualI32(const int32_t* a, const int32_t* b, size_t n) {
+  size_t matches = 0;
+  for (size_t i = 0; i < n; ++i) matches += a[i] == b[i];
+  return matches;
+}
+
+void ColumnLaneSquaredDeviations(const int32_t* const cols[kColumnLanes],
+                                 size_t n, const double mean[kColumnLanes],
+                                 double ss[kColumnLanes]) {
+  double acc[kColumnLanes] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < kColumnLanes; ++j) {
+      const double d = static_cast<double>(cols[j][i]) - mean[j];
+      acc[j] += d * d;
+    }
+  }
+  for (size_t j = 0; j < kColumnLanes; ++j) ss[j] = acc[j];
+}
+
+void ColumnLaneStandardizedPowers(const int32_t* const cols[kColumnLanes],
+                                  size_t n, const double mean[kColumnLanes],
+                                  const double sd[kColumnLanes],
+                                  double s3[kColumnLanes],
+                                  double s4[kColumnLanes]) {
+  double acc3[kColumnLanes] = {0.0, 0.0, 0.0, 0.0};
+  double acc4[kColumnLanes] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < kColumnLanes; ++j) {
+      const double z = (static_cast<double>(cols[j][i]) - mean[j]) / sd[j];
+      const double z3 = z * z * z;
+      acc3[j] += z3;
+      acc4[j] += z3 * z;
+    }
+  }
+  for (size_t j = 0; j < kColumnLanes; ++j) {
+    s3[j] = acc3[j];
+    s4[j] = acc4[j];
   }
 }
 
@@ -411,6 +467,136 @@ AUTOCE_TARGET_AVX2 void ReluBackward(const double* pre, double* grad,
   for (; i < n; ++i) {
     if (pre[i] <= 0.0) grad[i] = 0.0;
   }
+}
+
+AUTOCE_TARGET_AVX2 void SumMinMaxI32(const int32_t* x, size_t n, int64_t* sum,
+                                     int32_t* min, int32_t* max) {
+  __m256i acc = _mm256_setzero_si256();  // four int64 partial sums
+  __m256i lo = _mm256_set1_epi32(INT32_MAX);
+  __m256i hi = _mm256_set1_epi32(INT32_MIN);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+    lo = _mm256_min_epi32(lo, v);
+    hi = _mm256_max_epi32(hi, v);
+    acc = _mm256_add_epi64(
+        acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
+    acc = _mm256_add_epi64(
+        acc, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1)));
+  }
+  alignas(32) uint64_t sums[4];
+  alignas(32) int32_t los[8], his[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(sums), acc);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(los), lo);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(his), hi);
+  scalar::SumMinMaxI32(x + i, n - i, sum, min, max);
+  uint64_t total = static_cast<uint64_t>(*sum);
+  for (uint64_t s : sums) total += s;
+  *sum = static_cast<int64_t>(total);
+  for (int l = 0; l < 8; ++l) {
+    *min = std::min(*min, los[l]);
+    *max = std::max(*max, his[l]);
+  }
+}
+
+AUTOCE_TARGET_AVX2 size_t CountEqualI32(const int32_t* a, const int32_t* b,
+                                        size_t n) {
+  size_t matches = 0;
+  size_t i = 0;
+  while (n - i >= 8) {
+    // A cmpeq lane is -1 per match; 2^28 vectors per block keep each
+    // int32 lane count below 2^31.
+    const size_t vectors = std::min<size_t>((n - i) / 8, size_t{1} << 28);
+    __m256i acc = _mm256_setzero_si256();
+    for (size_t v = 0; v < vectors; ++v, i += 8) {
+      acc = _mm256_sub_epi32(
+          acc, _mm256_cmpeq_epi32(
+                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
+    }
+    alignas(32) uint32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+    for (uint32_t c : lanes) matches += c;
+  }
+  return matches + scalar::CountEqualI32(a + i, b + i, n - i);
+}
+
+/// Rows i..i+3 of the four columns as doubles: rows[r] holds row i + r,
+/// column j in lane j (a 4x4 transpose of one load per column).
+AUTOCE_TARGET_AVX2 inline void LoadRows(const int32_t* const cols[4], size_t i,
+                                        __m256d rows[4]) {
+  __m128i c[4];
+  for (int j = 0; j < 4; ++j) {
+    c[j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols[j] + i));
+  }
+  const __m128i t0 = _mm_unpacklo_epi32(c[0], c[1]);  // c0[0] c1[0] c0[1] c1[1]
+  const __m128i t1 = _mm_unpackhi_epi32(c[0], c[1]);  // c0[2] c1[2] c0[3] c1[3]
+  const __m128i t2 = _mm_unpacklo_epi32(c[2], c[3]);  // c2[0] c3[0] c2[1] c3[1]
+  const __m128i t3 = _mm_unpackhi_epi32(c[2], c[3]);  // c2[2] c3[2] c2[3] c3[3]
+  rows[0] = _mm256_cvtepi32_pd(_mm_unpacklo_epi64(t0, t2));
+  rows[1] = _mm256_cvtepi32_pd(_mm_unpackhi_epi64(t0, t2));
+  rows[2] = _mm256_cvtepi32_pd(_mm_unpacklo_epi64(t1, t3));
+  rows[3] = _mm256_cvtepi32_pd(_mm_unpackhi_epi64(t1, t3));
+}
+
+/// Row i of the four columns as doubles, column j in lane j.
+AUTOCE_TARGET_AVX2 inline __m256d LoadRow(const int32_t* const cols[4],
+                                          size_t i) {
+  return _mm256_cvtepi32_pd(
+      _mm_setr_epi32(cols[0][i], cols[1][i], cols[2][i], cols[3][i]));
+}
+
+/// ss + d * d with d = x - mean.
+AUTOCE_TARGET_AVX2 inline __m256d AddSquaredDeviation(__m256d ss, __m256d x,
+                                                      __m256d mean) {
+  const __m256d d = _mm256_sub_pd(x, mean);
+  return _mm256_add_pd(ss, _mm256_mul_pd(d, d));
+}
+
+/// s3 += z3 and s4 += z3 * z, with z = (x - mean) / sd and
+/// z3 = (z * z) * z.
+AUTOCE_TARGET_AVX2 inline void AddStandardizedPowers(__m256d x, __m256d mean,
+                                                     __m256d sd, __m256d* s3,
+                                                     __m256d* s4) {
+  const __m256d z = _mm256_div_pd(_mm256_sub_pd(x, mean), sd);
+  const __m256d z3 = _mm256_mul_pd(_mm256_mul_pd(z, z), z);
+  *s3 = _mm256_add_pd(*s3, z3);
+  *s4 = _mm256_add_pd(*s4, _mm256_mul_pd(z3, z));
+}
+
+AUTOCE_TARGET_AVX2 void ColumnLaneSquaredDeviations(
+    const int32_t* const cols[kColumnLanes], size_t n,
+    const double mean[kColumnLanes], double ss[kColumnLanes]) {
+  const __m256d m = _mm256_loadu_pd(mean);
+  __m256d acc = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d rows[4];
+    LoadRows(cols, i, rows);
+    for (const __m256d& x : rows) acc = AddSquaredDeviation(acc, x, m);
+  }
+  for (; i < n; ++i) acc = AddSquaredDeviation(acc, LoadRow(cols, i), m);
+  _mm256_storeu_pd(ss, acc);
+}
+
+AUTOCE_TARGET_AVX2 void ColumnLaneStandardizedPowers(
+    const int32_t* const cols[kColumnLanes], size_t n,
+    const double mean[kColumnLanes], const double sd[kColumnLanes],
+    double s3[kColumnLanes], double s4[kColumnLanes]) {
+  const __m256d m = _mm256_loadu_pd(mean);
+  const __m256d s = _mm256_loadu_pd(sd);
+  __m256d acc3 = _mm256_setzero_pd();
+  __m256d acc4 = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d rows[4];
+    LoadRows(cols, i, rows);
+    for (const __m256d& x : rows) AddStandardizedPowers(x, m, s, &acc3, &acc4);
+  }
+  for (; i < n; ++i) AddStandardizedPowers(LoadRow(cols, i), m, s, &acc3, &acc4);
+  _mm256_storeu_pd(s3, acc3);
+  _mm256_storeu_pd(s4, acc4);
 }
 
 }  // namespace avx2
@@ -684,6 +870,14 @@ struct Kernels {
   void (*scale_in_place)(double*, double, size_t);
   void (*relu_in_place)(double*, size_t);
   void (*relu_backward)(const double*, double*, size_t);
+  void (*sum_min_max_i32)(const int32_t*, size_t, int64_t*, int32_t*,
+                          int32_t*);
+  size_t (*count_equal_i32)(const int32_t*, const int32_t*, size_t);
+  void (*column_lane_squared_deviations)(const int32_t* const*, size_t,
+                                         const double*, double*);
+  void (*column_lane_standardized_powers)(const int32_t* const*, size_t,
+                                          const double*, const double*,
+                                          double*, double*);
 };
 
 constexpr Kernels kScalarTable = {
@@ -692,7 +886,9 @@ constexpr Kernels kScalarTable = {
     scalar::DotNorms,     scalar::ReduceSum,    scalar::ReduceSqSum,
     scalar::Axpy,         scalar::AddInPlace,   scalar::SubInPlace,
     scalar::MulInPlace,   scalar::ScaleInPlace, scalar::ReluInPlace,
-    scalar::ReluBackward,
+    scalar::ReluBackward, scalar::SumMinMaxI32, scalar::CountEqualI32,
+    scalar::ColumnLaneSquaredDeviations,
+    scalar::ColumnLaneStandardizedPowers,
 };
 
 #if AUTOCE_SIMD_HAVE_AVX2
@@ -702,7 +898,9 @@ constexpr Kernels kAvx2Table = {
     avx2::DotNorms,       avx2::ReduceSum,      avx2::ReduceSqSum,
     avx2::Axpy,           avx2::AddInPlace,     avx2::SubInPlace,
     avx2::MulInPlace,     avx2::ScaleInPlace,   avx2::ReluInPlace,
-    avx2::ReluBackward,
+    avx2::ReluBackward,   avx2::SumMinMaxI32,   avx2::CountEqualI32,
+    avx2::ColumnLaneSquaredDeviations,
+    avx2::ColumnLaneStandardizedPowers,
 };
 #endif
 
@@ -714,6 +912,12 @@ constexpr Kernels kNeonTable = {
     neon::Axpy,           neon::AddInPlace,     neon::SubInPlace,
     neon::MulInPlace,     neon::ScaleInPlace,   neon::ReluInPlace,
     neon::ReluBackward,
+    // The integer and column-lane kernels have no NEON path yet (none
+    // has been tested on aarch64); their scalar reference gives the
+    // same bits.
+    scalar::SumMinMaxI32, scalar::CountEqualI32,
+    scalar::ColumnLaneSquaredDeviations,
+    scalar::ColumnLaneStandardizedPowers,
 };
 #endif
 
@@ -915,6 +1119,29 @@ void ReluInPlace(double* x, size_t n) { Active().relu_in_place(x, n); }
 
 void ReluBackward(const double* pre, double* grad, size_t n) {
   Active().relu_backward(pre, grad, n);
+}
+
+void SumMinMaxI32(const int32_t* x, size_t n, int64_t* sum, int32_t* min,
+                  int32_t* max) {
+  Active().sum_min_max_i32(x, n, sum, min, max);
+}
+
+size_t CountEqualI32(const int32_t* a, const int32_t* b, size_t n) {
+  return Active().count_equal_i32(a, b, n);
+}
+
+void ColumnLaneSquaredDeviations(const int32_t* const cols[kColumnLanes],
+                                 size_t n, const double mean[kColumnLanes],
+                                 double ss[kColumnLanes]) {
+  Active().column_lane_squared_deviations(cols, n, mean, ss);
+}
+
+void ColumnLaneStandardizedPowers(const int32_t* const cols[kColumnLanes],
+                                  size_t n, const double mean[kColumnLanes],
+                                  const double sd[kColumnLanes],
+                                  double s3[kColumnLanes],
+                                  double s4[kColumnLanes]) {
+  Active().column_lane_standardized_powers(cols, n, mean, sd, s3, s4);
 }
 
 }  // namespace autoce::util::simd

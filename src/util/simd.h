@@ -2,6 +2,7 @@
 #define AUTOCE_UTIL_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace autoce::util::simd {
@@ -13,10 +14,11 @@ namespace autoce::util::simd {
 /// dispatch level, so scalar, AVX2, and NEON produce bit-for-bit the
 /// same doubles:
 ///
-/// * Accumulation steps are fused multiply-adds (`std::fma` in the
-///   scalar reference; `vfmadd` / `vfmaq` in the vector paths). fma is
-///   correctly rounded by IEEE-754, so the instruction used cannot
-///   change the result — only the order of combination could.
+/// * Map and reduction kernels accumulate by fused multiply-add
+///   (`std::fma` in the scalar reference; `vfmadd` / `vfmaq` in the
+///   vector paths). fma is correctly rounded by IEEE-754, so the
+///   instruction used cannot change the result — only the order of
+///   combination could.
 /// * Map-style kernels (MatMul, Axpy, elementwise ops) keep one
 ///   accumulation chain per *output element*, walked in ascending k.
 ///   Vector lanes hold distinct output elements, so the vector width
@@ -27,6 +29,12 @@ namespace autoce::util::simd {
 ///   (l0 + l2) + (l1 + l3). AVX2 holds the four lanes in one register,
 ///   NEON in two, the scalar reference in four named doubles — all
 ///   three walk the identical abstract order.
+/// * Column-lane kernels hold one sequence per lane and repeat the
+///   scalar loop's separately rounded operations in the same order.
+///   The library builds with -ffp-contract=off, so no multiply and add
+///   is fused behind the code's back. They have no NEON path yet: that
+///   slot runs the scalar reference.
+/// * Integer kernels are exact, so their order cannot change a result.
 ///
 /// The compile-time side is the AUTOCE_SIMD CMake option
 /// (auto|avx2|neon|scalar); the runtime side is CPU detection plus the
@@ -129,6 +137,40 @@ void ReluInPlace(double* x, size_t n);
 
 /// grad[i] = (pre[i] <= 0.0) ? 0.0 : grad[i] — the ReLU backward mask.
 void ReluBackward(const double* pre, double* grad, size_t n);
+
+// ---------------------------------------------------------------------
+// Integer kernels over int32 codes.
+
+/// Sum, smallest and largest of x[0..n). The sum is exact whenever it
+/// fits in int64 (always for n <= 2^32). For n = 0: sum 0, min
+/// INT32_MAX, max INT32_MIN.
+void SumMinMaxI32(const int32_t* x, size_t n, int64_t* sum, int32_t* min,
+                  int32_t* max);
+
+/// Number of positions i < n with a[i] == b[i].
+size_t CountEqualI32(const int32_t* a, const int32_t* b, size_t n);
+
+// ---------------------------------------------------------------------
+// Column-lane kernels (see the file comment): lane j walks column j of
+// kColumnLanes equal-length int32 columns over rows 0..n-1 in order.
+
+/// Number of columns a column-lane kernel takes; lanes never mix, so
+/// this is a width, not part of any result.
+inline constexpr size_t kColumnLanes = 4;
+
+/// For each lane j: ss[j] = sum over rows of d * d with
+/// d = double(cols[j][i]) - mean[j].
+void ColumnLaneSquaredDeviations(const int32_t* const cols[kColumnLanes],
+                                 size_t n, const double mean[kColumnLanes],
+                                 double ss[kColumnLanes]);
+
+/// For each lane j, with z = (double(cols[j][i]) - mean[j]) / sd[j] and
+/// z3 = (z * z) * z: s3[j] = sum of z3 and s4[j] = sum of z3 * z.
+void ColumnLaneStandardizedPowers(const int32_t* const cols[kColumnLanes],
+                                  size_t n, const double mean[kColumnLanes],
+                                  const double sd[kColumnLanes],
+                                  double s3[kColumnLanes],
+                                  double s4[kColumnLanes]);
 
 }  // namespace autoce::util::simd
 

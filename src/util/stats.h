@@ -2,6 +2,7 @@
 #define AUTOCE_UTIL_STATS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace autoce {
@@ -28,12 +29,23 @@ struct Moments {
 
 /// All of `Moments` in three sweeps: sum and extremes, squared
 /// deviations, then z^3 and z^4 together. Every element is converted to
-/// double before any arithmetic and each sum runs left to right, so the
-/// results are the same bits for `int32_t` codes and for the same values
-/// as doubles. Skewness needs 3 elements, kurtosis 4, and both are 0
-/// when stddev < 1e-12. Instantiated for `int32_t` and `double`.
+/// double before any arithmetic and each sum runs left to right.
+/// Skewness needs 3 elements, kurtosis 4, and both are 0 when
+/// stddev < 1e-12. Instantiated for `double`, the scalar reference; for
+/// `int32_t` codes it is the one-column case of `MomentsOfColumns`,
+/// with the same bits as over the codes widened to double.
 template <typename T>
 Moments MomentsOf(const std::vector<T>& v);
+
+template <>
+Moments MomentsOf(const std::vector<int32_t>& v);
+
+/// `out[c]` = the moments of int32 code column `columns[c]`, the same
+/// bits as `MomentsOf<double>` over the codes widened to double.
+/// Equal-length columns run four at a time, one per lane of the
+/// column-lane kernels (util/simd.h); the columns may differ in length.
+void MomentsOfColumns(std::span<const std::span<const int32_t>> columns,
+                      std::span<Moments> out);
 
 /// Pearson correlation coefficient; 0 when either side is constant.
 double PearsonCorrelation(const std::vector<double>& a,
@@ -48,12 +60,8 @@ double PositionalMatchRatio(const std::vector<int32_t>& a,
 /// sorts internally; 0 for empty input.
 double Percentile(std::vector<double> v, double p);
 
-/// Minimum / maximum; 0 for empty input.
-double Min(const std::vector<double>& v);
+/// Largest element; 0 for empty input.
 double Max(const std::vector<double>& v);
-
-/// Geometric mean of strictly positive values; 0 for empty input.
-double GeometricMean(const std::vector<double>& v);
 
 }  // namespace stats
 }  // namespace autoce

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "data/generator.h"
+#include "util/rng.h"
 
 namespace autoce::featgraph {
 namespace {
@@ -215,6 +216,31 @@ TEST(FeatureGraphTest, ExtractIsPinned) {
   };
   EXPECT_EQ(digest(8), 0xE5C71EA017087649ULL);
   EXPECT_EQ(digest(3), 0x0B2198D5C59E3E33ULL);
+}
+
+TEST(FeatureGraphTest, ColumnsOfUnequalLengthArePinned) {
+  // LoadDataset does not Validate, so a crafted .adat can hold a table
+  // whose columns differ in length. The lengths interleave, so a block
+  // of adjacent columns would mix them and read past a short column.
+  data::Table t;
+  t.name = "ragged";
+  Rng rng(31);
+  for (size_t n : {40, 7, 40, 40, 7, 40, 0, 40, 3, 7}) {
+    std::vector<int32_t> values(n);
+    for (int32_t& v : values) v = static_cast<int32_t>(rng.UniformInt(1, 50));
+    t.columns.push_back(data::Column{"c" + std::to_string(t.columns.size()),
+                                     50, std::move(values)});
+  }
+  data::Dataset ds("ragged");
+  ds.AddTable(std::move(t));
+  auto fingerprint = [&](int max_columns) {
+    FeatureGraphConfig cfg;
+    cfg.max_columns = max_columns;
+    return GraphFingerprint(FeatureExtractor(cfg).Extract(ds));
+  };
+  EXPECT_EQ(fingerprint(10), 0x1D0ABA6CDC6AAC8FULL);
+  EXPECT_EQ(fingerprint(8), 0xBDB6D898CF5744BDULL);
+  EXPECT_EQ(fingerprint(3), 0x5F5FD7DE6D0D3C7FULL);
 }
 
 TEST(GraphFingerprintTest, ValuesArePinned) {

@@ -1,11 +1,13 @@
 // Bit-identity sweep for the util::simd dispatch layer (DESIGN.md
 // §5.10): scalar and the best-available vector level must produce
-// byte-identical matrix products, embeddings, and KNN neighbor lists at
-// every thread count.
+// byte-identical matrix products, embeddings, KNN neighbor lists, and
+// integer and column-lane kernel outputs at every thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -205,6 +207,72 @@ TEST_P(SimdDispatchSweep, KnnNeighborListsInvariant) {
         ExpectSameNeighborBits(results[0], results[i],
                                "backend/level sweep");
       }
+    }
+  }
+}
+
+TEST_P(SimdDispatchSweep, IntegerAndColumnLaneKernelsByteIdenticalAcrossLevels) {
+  // Lengths 0-17 reach every tail (8-wide integer loops, 4-row column-
+  // lane blocks); a few hundred reach the main loops.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (size_t n : {300, 301, 515}) lengths.push_back(n);
+  Rng rng(404);
+  for (size_t n : lengths) {
+    // Full-range codes with both extremes, small codes, a copy of the
+    // first column at about half the positions, and a constant column.
+    std::vector<std::vector<int32_t>> cols(4, std::vector<int32_t>(n));
+    for (size_t i = 0; i < n; ++i) {
+      cols[0][i] = i % 5 == 0   ? INT32_MIN
+                   : i % 5 == 1 ? INT32_MAX
+                                : static_cast<int32_t>(
+                                      rng.UniformInt(INT32_MIN, INT32_MAX));
+      cols[1][i] = static_cast<int32_t>(rng.UniformInt(1, 30));
+      cols[2][i] = rng.Bernoulli(0.5) ? cols[0][i] : cols[1][i];
+      cols[3][i] = 7;
+    }
+    const int32_t* lanes[simd::kColumnLanes] = {cols[0].data(), cols[1].data(),
+                                                cols[2].data(), cols[3].data()};
+    const double mean[simd::kColumnLanes] = {-3.5, 12.25, 1e9, 7.0};
+    const double sd[simd::kColumnLanes] = {1.5e9, 7.0, 3e8, 1.0};
+
+    std::vector<std::vector<uint64_t>> outputs;
+    for (simd::Level level : SweepLevels()) {
+      AtLevel(level, [&] {
+        std::vector<uint64_t> out;
+        for (const auto& col : cols) {
+          int64_t sum = 0;
+          int32_t lo = 0, hi = 0;
+          simd::SumMinMaxI32(col.data(), n, &sum, &lo, &hi);
+          int64_t want_sum = 0;
+          for (int32_t v : col) want_sum += v;
+          EXPECT_EQ(sum, want_sum) << "n=" << n;
+          EXPECT_EQ(lo, n == 0 ? INT32_MAX : *std::min_element(col.begin(), col.end()));
+          EXPECT_EQ(hi, n == 0 ? INT32_MIN : *std::max_element(col.begin(), col.end()));
+          for (const auto& other : cols) {
+            size_t want_eq = 0;
+            for (size_t i = 0; i < n; ++i) want_eq += col[i] == other[i];
+            EXPECT_EQ(simd::CountEqualI32(col.data(), other.data(), n), want_eq)
+                << "n=" << n;
+          }
+        }
+        double ss[simd::kColumnLanes], s3[simd::kColumnLanes],
+            s4[simd::kColumnLanes];
+        simd::ColumnLaneSquaredDeviations(lanes, n, mean, ss);
+        simd::ColumnLaneStandardizedPowers(lanes, n, mean, sd, s3, s4);
+        for (size_t j = 0; j < simd::kColumnLanes; ++j) {
+          for (double v : {ss[j], s3[j], s4[j]}) {
+            uint64_t bits;
+            std::memcpy(&bits, &v, sizeof(bits));
+            out.push_back(bits);
+          }
+        }
+        outputs.push_back(out);
+      });
+    }
+    for (size_t i = 1; i < outputs.size(); ++i) {
+      EXPECT_EQ(outputs[0], outputs[i])
+          << "n=" << n << " level " << simd::LevelName(SweepLevels()[i]);
     }
   }
 }

@@ -5,7 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
+
+#include "util/rng.h"
+#include "util/simd.h"
 
 namespace autoce {
 namespace {
@@ -71,6 +76,105 @@ TEST(StatsTest, MomentsOfCodesMatchDoublesBitForBit) {
                      &stats::Moments::min, &stats::Moments::max}) {
     EXPECT_EQ(std::memcmp(&(a.*field), &(b.*field), sizeof(double)), 0);
   }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// MomentsOfColumns over `columns` at every available SIMD level; each
+/// column's moments must be the bits of MomentsOf<double> over it.
+void ExpectColumnsMatchReference(const std::vector<std::vector<int32_t>>& columns,
+                                 const std::string& what) {
+  std::vector<stats::Moments> want;
+  for (const auto& column : columns) {
+    want.push_back(
+        stats::MomentsOf(std::vector<double>(column.begin(), column.end())));
+  }
+  const std::vector<std::span<const int32_t>> spans(columns.begin(),
+                                                    columns.end());
+  const util::simd::Level prev = util::simd::ActiveLevel();
+  for (util::simd::Level level :
+       {util::simd::Level::kScalar, util::simd::Level::kAvx2,
+        util::simd::Level::kNeon}) {
+    if (!util::simd::SetActiveLevel(level)) continue;
+    std::vector<stats::Moments> got(columns.size());
+    stats::MomentsOfColumns(spans, got);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      for (auto field : {&stats::Moments::mean, &stats::Moments::stddev,
+                         &stats::Moments::skewness, &stats::Moments::kurtosis,
+                         &stats::Moments::min, &stats::Moments::max}) {
+        EXPECT_EQ(Bits(got[c].*field), Bits(want[c].*field))
+            << what << " column " << c << " level "
+            << util::simd::LevelName(level);
+      }
+    }
+  }
+  ASSERT_TRUE(util::simd::SetActiveLevel(prev));
+}
+
+TEST(StatsTest, MomentsOfColumnsMatchScalarReferenceBitForBit) {
+  Rng rng(17);
+  auto column = [&](size_t n, int kind) {
+    std::vector<int32_t> v(n);
+    for (size_t i = 0; i < n; ++i) {
+      switch (kind % 4) {
+        case 0:  // constant: sd < 1e-12 in this lane only
+          v[i] = 42;
+          break;
+        case 1:  // small codes
+          v[i] = static_cast<int32_t>(rng.UniformInt(1, 30));
+          break;
+        case 2:  // skewed wide codes
+          v[i] = 1 + static_cast<int32_t>(std::pow(rng.Uniform(), 3) * 30000);
+          break;
+        default:  // any int32, extremes included
+          v[i] = i % 5 == 0   ? INT32_MIN
+                 : i % 5 == 1 ? INT32_MAX
+                              : static_cast<int32_t>(rng.UniformInt(
+                                    INT32_MIN, INT32_MAX));
+      }
+    }
+    return v;
+  };
+  // Blocks of 1-4 columns and more than 4, at every guard of n.
+  for (size_t n : {0, 1, 2, 3, 4, 5, 17, 600}) {
+    for (int width = 1; width <= 9; ++width) {
+      std::vector<std::vector<int32_t>> columns;
+      for (int c = 0; c < width; ++c) columns.push_back(column(n, c + width));
+      ExpectColumnsMatchReference(
+          columns, "n=" + std::to_string(n) + " width=" + std::to_string(width));
+    }
+  }
+  // Lengths interleaved: no block may mix them.
+  std::vector<std::vector<int32_t>> mixed;
+  for (size_t n : {5, 3, 5, 5, 3, 0, 5, 5, 1, 3}) mixed.push_back(column(n, 2));
+  ExpectColumnsMatchReference(mixed, "mixed lengths");
+}
+
+TEST(StatsTest, MomentsOfColumnsKeepTheDoubleSumPastTwoToThe53) {
+  // size * max|code| <= 2^53 keeps every partial sum exact, so the int64
+  // sum stands in for the double chain; past the bound the chain rounds
+  // and must run. Each case shares its block with a small-code column.
+  const size_t at_bound = size_t{1} << 22;  // 2^22 * 2^31 = 2^53
+  std::vector<std::vector<int32_t>> exact = {
+      std::vector<int32_t>(at_bound, INT32_MIN), std::vector<int32_t>(at_bound)};
+  for (size_t i = 0; i < at_bound; ++i) exact[1][i] = static_cast<int32_t>(i % 7);
+  ExpectColumnsMatchReference(exact, "at the bound");
+
+  const size_t past = at_bound + 2;
+  std::vector<std::vector<int32_t>> rounded = {
+      std::vector<int32_t>(past, INT32_MAX), std::vector<int32_t>(past)};
+  for (size_t i = 0; i < past; ++i) rounded[1][i] = static_cast<int32_t>(i % 7);
+  // The chain really rounds here: the exact sum gives another mean.
+  const double exact_mean = static_cast<double>(int64_t{INT32_MAX} *
+                                                static_cast<int64_t>(past)) /
+                            static_cast<double>(past);
+  const std::vector<double> wide(rounded[0].begin(), rounded[0].end());
+  ASSERT_NE(Bits(exact_mean), Bits(stats::MomentsOf(wide).mean));
+  ExpectColumnsMatchReference(rounded, "past the bound");
 }
 
 TEST(StatsTest, PearsonPerfectCorrelation) {
@@ -143,17 +247,10 @@ TEST(StatsTest, PercentileClampsOutOfRangeP) {
   EXPECT_DOUBLE_EQ(stats::Percentile(v, 250), 30.0);
 }
 
-TEST(StatsTest, MinMax) {
+TEST(StatsTest, Max) {
   std::vector<double> v{3, -1, 7, 2};
-  EXPECT_DOUBLE_EQ(stats::Min(v), -1.0);
   EXPECT_DOUBLE_EQ(stats::Max(v), 7.0);
-  EXPECT_DOUBLE_EQ(stats::Min({}), 0.0);
   EXPECT_DOUBLE_EQ(stats::Max({}), 0.0);
-}
-
-TEST(StatsTest, GeometricMean) {
-  EXPECT_NEAR(stats::GeometricMean({1, 100}), 10.0, 1e-9);
-  EXPECT_NEAR(stats::GeometricMean({4, 4, 4}), 4.0, 1e-9);
 }
 
 }  // namespace
