@@ -13,6 +13,7 @@
 #include "adapt/feedback_queue.h"
 #include "advisor/autoce.h"
 #include "ce/testbed.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
 #include "util/budget.h"
@@ -36,24 +37,11 @@ using SleepFn = std::function<void(double ms)>;
 struct AdaptationConfig {
   /// Feedback queue bound (see FeedbackQueue).
   std::size_t queue_capacity = 64;
-  /// Items drained per RunOnce cycle.
+  /// Items drained per RunOnce cycle (>= 1; Open rejects 0).
   std::size_t batch_size = 4;
-  /// Bounded retries: labeling attempts per item / training attempts
-  /// per unit before degrading (sentinel label / quarantine).
-  int max_label_attempts = 3;
-  int max_train_attempts = 2;
-  /// Seeded exponential backoff between retry attempts:
-  /// initial * multiplier^(attempt-1) * (1 + jitter * U[0,1)) ms, with
-  /// U drawn from an Rng keyed by (seed, item fingerprint, attempt).
-  double backoff_initial_ms = 10.0;
-  double backoff_multiplier = 2.0;
-  double backoff_jitter = 0.5;
-  /// Mixup-augment each labeled item toward its nearest RCS member
-  /// (paper Eq. 14; skipped for sentinel-labeled items so a degraded
-  /// label is never smeared across the corpus).
-  bool mixup_augment = true;
-  /// Seeds the labeler and the backoff jitter (always mixed with the
-  /// item fingerprint, so per-item decisions stay content-keyed).
+  /// Seeds the labeler, the backoff jitter and the Mixup draw (always
+  /// mixed with the item fingerprint, so per-item decisions stay
+  /// content-keyed).
   uint64_t seed = 42;
   /// Background worker wake-up period (Start/Stop mode).
   double poll_interval_ms = 50.0;
@@ -70,8 +58,8 @@ struct AdaptationConfig {
   /// in the adapt tests).
   int num_workers = 1;
   /// Monotonic seconds source for the labeling budget (steady clock
-  /// when null).
-  util::ClockFn clock;
+  /// when empty).
+  obs::Clock clock;
   /// Testbed configuration of the default labeler; ignored when a
   /// custom labeler is installed.
   ce::TestbedConfig testbed;
@@ -172,7 +160,7 @@ class AdaptationPipeline {
   /// ResumeFit path the server uses) with the store attached, so every
   /// accepted unit commits durably. `server` (may be null for
   /// trainer-only harnesses) is reloaded after each batch that applied
-  /// an item.
+  /// an item. InvalidArgument when `config.batch_size` is 0.
   static Result<std::unique_ptr<AdaptationPipeline>> Open(
       const std::string& store_dir, serve::AdvisorServer* server,
       AdaptationConfig config = {},

@@ -12,6 +12,7 @@
 #include "data/generator.h"
 #include "dyn/mutation.h"
 #include "featgraph/featgraph.h"
+#include "obs/clock.h"
 #include "serve/server.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -20,20 +21,22 @@
 namespace autoce::adapt {
 namespace {
 
-/// Simulated monotonic clock shared by the server (deadlines) and the
-/// pipeline (label budgets): every observation consumes a fixed number
-/// of simulated milliseconds, so budget decisions are a pure function
-/// of the observation SEQUENCE, never of machine load. Atomic because a
-/// multi-worker labeling phase may observe concurrently; the worker
-/// determinism sweep still runs budgets unlimited, since concurrent
-/// observation ORDER is scheduler-dependent.
-struct SimClock {
-  std::atomic<double> now_s{0.0};
-  double step_s = 0.005;
-};
+/// Simulated seconds consumed per clock observation.
+constexpr double kSimSecondsPerLook = 0.005;
 
-util::ClockFn MakeClock(const std::shared_ptr<SimClock>& clock) {
-  return [clock] { return clock->now_s.fetch_add(clock->step_s) + clock->step_s; };
+/// Simulated monotonic clock shared by the server (deadlines) and the
+/// pipeline (label budgets): every observation consumes 5 simulated ms,
+/// so budget decisions are a pure function of the observation SEQUENCE,
+/// never of machine load. Atomic because a multi-worker labeling phase
+/// may observe concurrently; the worker determinism sweep still runs
+/// budgets unlimited, since concurrent observation ORDER is
+/// scheduler-dependent.
+using SimClock = std::atomic<double>;
+
+obs::Clock MakeClock(const std::shared_ptr<SimClock>& now_s) {
+  return [now_s] {
+    return now_s->fetch_add(kSimSecondsPerLook) + kSimSecondsPerLook;
+  };
 }
 
 advisor::AutoCeConfig SoakAdvisorConfig() {
@@ -188,8 +191,7 @@ Result<SoakReport> RunSoakImpl(const SoakConfig& config) {
     if (!st.ok()) return st;
   }
 
-  auto clock = std::make_shared<SimClock>();
-  clock->step_s = config.sim_ms_per_look / 1000.0;
+  auto clock = std::make_shared<SimClock>(0.0);
 
   // Drift-fed mode: one persistent pool that mutates every tick; the
   // feedback stream becomes its drifted snapshots. The pool is created

@@ -37,13 +37,12 @@ struct SoakConfig {
 
   /// Adaptation labeling workers (the multi-worker determinism sweep).
   int num_workers = 1;
-  /// Per-request serve deadline on the SIMULATED clock (0 = off).
+  /// Per-request serve deadline on the SIMULATED clock (0 = off). Every
+  /// clock observation consumes 5 simulated ms, so budget tightness is
+  /// a pure function of the schedule.
   double request_deadline_ms = 0.0;
   /// Per-batch labeling budget on the SIMULATED clock (0 = off).
   double label_budget_ms_per_batch = 0.0;
-  /// Simulated milliseconds consumed per clock observation — the knob
-  /// that makes budget tightness a pure function of the schedule.
-  double sim_ms_per_look = 5.0;
 
   /// Dynamic-data drive (DESIGN.md §5.14): when positive, the feedback
   /// stream comes from a persistent dataset pool that drifts under the

@@ -31,7 +31,7 @@ struct HeadStackTrainer {
       params.insert(params.end(), p.begin(), p.end());
       grads.insert(grads.end(), g.begin(), g.end());
     }
-    nn::Adam opt(params, grads, learning_rate, 0.9, 0.999, 1e-8, 5.0);
+    nn::Adam opt(params, grads, learning_rate, 5.0);
 
     size_t n = corpus->size();
     std::vector<size_t> order(n);

@@ -142,7 +142,7 @@ LabeledCorpus LabelCorpus(std::vector<data::Dataset> datasets,
   const size_t n = corpus.datasets.size();
   // Span on the calling thread only; per-dataset work inside the
   // ParallelMap records counters (testbed.* in ce/testbed.cc), never
-  // spans, so FakeClock traces stay thread-count invariant.
+  // spans, so simulated-clock traces stay thread-count invariant.
   obs::TraceSpan span("advisor.label_corpus");
   obs::Counter* labeled =
       obs::MetricsRegistry::Instance().GetCounter("advisor.labeled_datasets");

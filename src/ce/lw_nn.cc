@@ -38,8 +38,7 @@ Status LwNnEstimator::Train(const TrainContext& ctx) {
     y(i, 0) = query::LogCardinality((*ctx.train_cards)[i]);
   }
 
-  nn::Adam opt(mlp_->Params(), mlp_->Grads(), 0.01, 0.9, 0.999, 1e-8,
-               /*clip_norm=*/5.0);
+  nn::Adam opt(mlp_->Params(), mlp_->Grads(), 0.01, /*clip_norm=*/5.0);
   const size_t batch = 64;
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;

@@ -27,8 +27,6 @@ Status LwXgbEstimator::Train(const TrainContext& ctx) {
   gbdt::GbdtParams params;
   params.num_trees = scale_.gbdt_trees;
   params.max_depth = 5;
-  params.learning_rate = 0.2;
-  params.seed = ctx.seed;
   booster_ = std::make_unique<gbdt::GradientBoosting>(params);
   booster_->Fit(x, y);
   return Status::OK();

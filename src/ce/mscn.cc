@@ -63,7 +63,7 @@ Status MscnEstimator::Train(const TrainContext& ctx) {
     params.insert(params.end(), p.begin(), p.end());
     grads.insert(grads.end(), g.begin(), g.end());
   }
-  nn::Adam opt(params, grads, 0.005, 0.9, 0.999, 1e-8, /*clip_norm=*/5.0);
+  nn::Adam opt(params, grads, 0.005, /*clip_norm=*/5.0);
 
   size_t n = ctx.train_queries->size();
   std::vector<query::QueryFeaturizer::SetEncoding> encodings;

@@ -80,7 +80,7 @@ void AutoregressiveModel::Train(
     params.push_back(&embeddings_[c]);
     grads.push_back(&embedding_grads_[c]);
   }
-  nn::Adam opt(params, grads, params_.learning_rate, 0.9, 0.999, 1e-8, 5.0);
+  nn::Adam opt(params, grads, params_.learning_rate, 5.0);
 
   std::vector<size_t> order(rows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;

@@ -15,6 +15,14 @@ namespace autoce::dyn {
 
 namespace {
 
+/// Per-epoch fractions at intensity 1 (see MutationConfig): rows
+/// appended and deleted per table, and values re-drawn in one column.
+constexpr double kInsertFraction = 0.04;
+constexpr double kDeleteFraction = 0.02;
+constexpr double kShiftFraction = 0.08;
+/// Skew of the shifted (mirrored Pareto) value distribution.
+constexpr double kShiftSkew = 2.0;
+
 /// `dyn.*` instruments, resolved once (obs/metrics.h interning).
 struct DynMetrics {
   obs::Counter* epochs;
@@ -40,8 +48,8 @@ struct DynMetrics {
 /// Shifted value draw: a bounded-Pareto sample mirrored to the TOP of
 /// the domain, so drifted data concentrates where the snapshot's skew
 /// put almost nothing.
-int32_t ShiftedDraw(Rng* rng, double skew, int32_t domain) {
-  double v = rng->ParetoSkewed(skew, 1.0, static_cast<double>(domain));
+int32_t ShiftedDraw(Rng* rng, int32_t domain) {
+  double v = rng->ParetoSkewed(kShiftSkew, 1.0, static_cast<double>(domain));
   int32_t iv = static_cast<int32_t>(std::lround(v));
   iv = std::clamp<int32_t>(iv, 1, domain);
   return domain + 1 - iv;
@@ -75,9 +83,9 @@ TableDelta MutateTable(data::Table* table, const MutationConfig& cfg,
 
   // Deletes: only tables no FK references (removing a referenced parent
   // row would orphan FK values and skew join semantics unpredictably).
-  if (!is_fk_parent && cfg.delete_fraction > 0.0) {
+  if (!is_fk_parent) {
     int64_t want = static_cast<int64_t>(
-        std::floor(cfg.delete_fraction * intensity * static_cast<double>(rows)));
+        std::floor(kDeleteFraction * intensity * static_cast<double>(rows)));
     int64_t k = std::min(want, std::max<int64_t>(0, rows - cfg.min_rows));
     if (k > 0) {
       auto victims = rng->SampleWithoutReplacement(rows, k);
@@ -99,9 +107,9 @@ TableDelta MutateTable(data::Table* table, const MutationConfig& cfg,
   // looks different — the drift the post-update label variant scores).
   // PK columns get fresh distinct ids past the current domain; FK
   // columns sample the parent's epoch-start PK set.
-  if (cfg.insert_fraction > 0.0) {
+  {
     int64_t k = static_cast<int64_t>(std::floor(
-        cfg.insert_fraction * intensity * static_cast<double>(rows)));
+        kInsertFraction * intensity * static_cast<double>(rows)));
     if (k > 0) {
       for (int c = 0; c < table->NumColumns(); ++c) {
         data::Column& col = table->columns[static_cast<size_t>(c)];
@@ -126,7 +134,7 @@ TableDelta MutateTable(data::Table* table, const MutationConfig& cfg,
         }
         for (int64_t i = 0; i < k; ++i) {
           col.values.push_back(
-              ShiftedDraw(rng, cfg.shift_skew, col.domain_size));
+              ShiftedDraw(rng, col.domain_size));
         }
       }
       delta.inserted = k;
@@ -136,7 +144,7 @@ TableDelta MutateTable(data::Table* table, const MutationConfig& cfg,
   // Distribution shift: re-draw a fraction of ONE non-key, non-FK
   // column (rotating with the epoch so drift walks the schema) from the
   // mirrored distribution.
-  if (cfg.shift_fraction > 0.0) {
+  {
     std::vector<int> candidates;
     for (int c = 0; c < table->NumColumns(); ++c) {
       if (c != table->primary_key && !is_fk(c)) candidates.push_back(c);
@@ -148,12 +156,12 @@ TableDelta MutateTable(data::Table* table, const MutationConfig& cfg,
       int64_t n = static_cast<int64_t>(col.values.size());
       int64_t k = std::min<int64_t>(
           n, static_cast<int64_t>(std::floor(
-                 cfg.shift_fraction * intensity * static_cast<double>(n))));
+                 kShiftFraction * intensity * static_cast<double>(n))));
       if (k > 0) {
         auto spots = rng->SampleWithoutReplacement(n, k);
         for (int64_t s : spots) {
           col.values[static_cast<size_t>(s)] =
-              ShiftedDraw(rng, cfg.shift_skew, col.domain_size);
+              ShiftedDraw(rng, col.domain_size);
         }
         delta.shifted = k;
       }

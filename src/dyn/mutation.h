@@ -14,25 +14,18 @@ namespace autoce::dyn {
 /// pure function of (fingerprint of the epoch-0 snapshot, epoch number).
 uint64_t DatasetFingerprint(const data::Dataset& ds);
 
-/// The synthetic drift model (DESIGN.md §5.14): per-epoch fractions of
-/// appends, deletes, and in-place value re-draws, all scaled by one
-/// `intensity` knob so a regime axis can sweep drift with a single
-/// number. `intensity == 0` makes `ApplyEpoch` advance the epoch
-/// counter without touching any data (the static-regime control).
+/// The synthetic drift model (DESIGN.md §5.14): per epoch, 4% of each
+/// table's rows appended, 2% deleted from tables no FK references
+/// (deleting referenced parents would orphan FK values), and 8% of one
+/// non-key column's values re-drawn (the column rotates with the epoch
+/// number). Appended and re-drawn values come from a skew-2 Pareto
+/// mirrored to the TOP of the domain, so the hot region flips away from
+/// where snapshot-trained models learned it. One `intensity` knob
+/// scales the three fractions so a regime axis can sweep drift with a
+/// single number; `intensity == 0` makes `ApplyEpoch` advance the
+/// epoch counter without touching any data (the static-regime control).
 struct MutationConfig {
-  /// Rows appended per table per epoch, as a fraction of current rows.
-  double insert_fraction = 0.04;
-  /// Rows deleted per epoch from tables no FK references (deleting
-  /// referenced parents would orphan FK values), same base.
-  double delete_fraction = 0.02;
-  /// Fraction of one non-key column's values re-drawn from the shifted
-  /// distribution per epoch (the column rotates with the epoch number).
-  double shift_fraction = 0.08;
-  /// Skew of the shifted value distribution. Shifted draws land at the
-  /// TOP of the domain (mirrored Pareto), so the hot region flips away
-  /// from where snapshot-trained models learned it.
-  double shift_skew = 2.0;
-  /// Global multiplier applied to the three fractions above.
+  /// Global multiplier applied to the three fractions.
   double intensity = 1.0;
   /// Deletes never shrink a table below this many rows.
   int64_t min_rows = 16;

@@ -25,9 +25,17 @@ int RegimeVector::Level(int axis) const {
 }
 
 std::string RegimeVector::Name() const {
-  return "T" + std::to_string(tables) + ".S" + std::to_string(skew) + ".C" +
-         std::to_string(correlation) + ".F" + std::to_string(fanout) + ".D" +
-         std::to_string(drift);
+  std::string name = "T";
+  name += std::to_string(tables);
+  name += ".S";
+  name += std::to_string(skew);
+  name += ".C";
+  name += std::to_string(correlation);
+  name += ".F";
+  name += std::to_string(fanout);
+  name += ".D";
+  name += std::to_string(drift);
+  return name;
 }
 
 std::vector<RegimeCell> RegimeGrid(const RegimeAxes& axes,

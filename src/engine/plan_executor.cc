@@ -1,12 +1,23 @@
 #include "engine/plan_executor.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "engine/executor.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace autoce::engine {
+
+namespace {
+
+/// A scan whose estimated output is below this fraction of the table
+/// uses the sorted index path ("index scan"); otherwise it scans
+/// sequentially. Mirrors how injected cardinalities flip scan choices
+/// in PostgreSQL (paper Table V discussion).
+constexpr double kIndexScanSelectivity = 0.05;
+
+}  // namespace
 
 PlanExecutor::PlanExecutor(const data::Dataset* dataset, ExecOptions opts)
     : dataset_(dataset), opts_(opts) {}
@@ -41,7 +52,7 @@ PlanExecutor::Intermediate PlanExecutor::ExecuteScan(const query::Query& q,
   bool use_index =
       !preds.empty() &&
       node.estimated_cardinality <
-          opts_.index_scan_selectivity_threshold * rows;
+          kIndexScanSelectivity * rows;
 
   if (use_index) {
     // Index scan: range-probe the first predicate's index, then verify

@@ -32,11 +32,6 @@ struct ExecOptions {
   /// Abort (completed = false) once an intermediate result exceeds this
   /// many rows — the engine's statement_timeout analogue.
   int64_t max_intermediate_rows = 20'000'000;
-  /// A scan whose estimated output is below this fraction of the table
-  /// uses the sorted index path ("index scan"); otherwise it scans
-  /// sequentially. Mirrors how injected cardinalities flip scan choices
-  /// in PostgreSQL (paper Table V discussion).
-  double index_scan_selectivity_threshold = 0.05;
 };
 
 /// \brief Executes physical plans for real: filtered scans (sequential or

@@ -10,15 +10,21 @@
 
 namespace autoce::fss {
 
+namespace {
+
+/// Base seed mixed (content-keyed) into `SeedInference` before every
+/// model estimate, making sampling models call-order independent.
+constexpr uint64_t kInferenceSeed = 42;
+
+}  // namespace
+
 EstimatorService::EstimatorService(
-    const std::string& store_dir,
     std::unique_ptr<ce::CardinalityEstimator> model,
     const data::Dataset* dataset, EstimatorServiceOptions options)
     : options_(options),
       dataset_(dataset),
       histogram_(dataset),
       model_(std::move(model)) {
-  (void)store_dir;  // the store itself is attached by Open
   std::size_t shards = options_.cache_shards == 0 ? 1 : options_.cache_shards;
   if (options_.cache_capacity > 0 && shards > options_.cache_capacity) {
     shards = options_.cache_capacity;
@@ -39,9 +45,9 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Open(
     const data::Dataset* dataset, EstimatorServiceOptions options) {
   AUTOCE_CHECK(dataset != nullptr);
   std::unique_ptr<EstimatorService> service(
-      new EstimatorService(store_dir, std::move(model), dataset, options));
+      new EstimatorService(std::move(model), dataset, options));
   if (!store_dir.empty()) {
-    auto store = util::SnapshotStore::Open(store_dir, options.store_options);
+    auto store = util::SnapshotStore::Open(store_dir);
     if (!store.ok()) return store.status();
     service->store_ = std::move(store).ValueOrDie();
     // Warm-start from the newest good generation; a fresh directory is
@@ -136,7 +142,7 @@ double EstimatorService::EstimateSubplan(const query::Query& q) {
     if (model_ != nullptr) {
       have_model = true;
       model_->SeedInference(
-          util::FaultKeyMix(options_.inference_seed, key.literal_hash));
+          util::FaultKeyMix(kInferenceSeed, key.literal_hash));
       estimate = model_->EstimateCardinality(q);
     }
   }

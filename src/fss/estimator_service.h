@@ -35,11 +35,6 @@ struct EstimatorServiceOptions {
   /// Number of cache shards (clamped to >= 1); subplans hash-route to a
   /// shard so concurrent lookups rarely contend on one mutex.
   std::size_t cache_shards = 8;
-  /// Base seed mixed (content-keyed) into `SeedInference` before every
-  /// model estimate, making sampling models call-order independent.
-  uint64_t inference_seed = 42;
-  /// Snapshot store options for the persistent knowledge store.
-  util::SnapshotStoreOptions store_options;
   /// Knowledge-aging window: on `NotifyEpoch(e)` entries last observed
   /// before `e - max_age_epochs` are evicted. 0 disables aging.
   uint64_t max_age_epochs = 0;
@@ -172,8 +167,7 @@ class EstimatorService : public engine::CardinalitySource {
     std::deque<uint64_t> fifo;
   };
 
-  EstimatorService(const std::string& store_dir,
-                   std::unique_ptr<ce::CardinalityEstimator> model,
+  EstimatorService(std::unique_ptr<ce::CardinalityEstimator> model,
                    const data::Dataset* dataset,
                    EstimatorServiceOptions options);
 

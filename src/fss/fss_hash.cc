@@ -19,7 +19,7 @@ void PutU32(BinaryWriter* w, int32_t v) {
 
 }  // namespace
 
-uint64_t FssBytesHash(const std::string& bytes) {
+uint64_t FssBytesHash(std::string_view bytes) {
   uint64_t h = 0xCBF29CE484222325ULL;
   for (char c : bytes) {
     h ^= static_cast<unsigned char>(c);
@@ -48,36 +48,35 @@ FssKey MakeFssKey(const query::Query& q) {
             });
 
   // Shape bytes: relations, join edges, predicate (table, column, op).
-  BinaryWriter shape;
-  PutU32(&shape, static_cast<int32_t>(tables.size()));
-  for (int t : tables) PutU32(&shape, t);
-  PutU32(&shape, static_cast<int32_t>(joins.size()));
+  BinaryWriter w;
+  PutU32(&w, static_cast<int32_t>(tables.size()));
+  for (int t : tables) PutU32(&w, t);
+  PutU32(&w, static_cast<int32_t>(joins.size()));
   for (const auto& j : joins) {
-    PutU32(&shape, j.fk_table);
-    PutU32(&shape, j.fk_column);
-    PutU32(&shape, j.pk_table);
-    PutU32(&shape, j.pk_column);
+    PutU32(&w, j.fk_table);
+    PutU32(&w, j.fk_column);
+    PutU32(&w, j.pk_table);
+    PutU32(&w, j.pk_column);
   }
-  PutU32(&shape, static_cast<int32_t>(preds.size()));
+  PutU32(&w, static_cast<int32_t>(preds.size()));
   for (const auto& p : preds) {
-    PutU32(&shape, p.table);
-    PutU32(&shape, p.column);
-    PutU32(&shape, static_cast<int32_t>(p.op));
+    PutU32(&w, p.table);
+    PutU32(&w, p.column);
+    PutU32(&w, static_cast<int32_t>(p.op));
   }
+  const std::size_t shape_size = w.buffer().size();
 
-  // Full bytes: the shape plus each predicate's literal interval, in the
-  // same canonical predicate order.
-  BinaryWriter full;
-  full.WriteBytes(shape.buffer().data(), shape.buffer().size());
+  // Then each predicate's literal interval, in the same canonical
+  // predicate order.
   for (const auto& p : preds) {
-    PutU32(&full, p.lo);
-    PutU32(&full, p.hi);
+    PutU32(&w, p.lo);
+    PutU32(&w, p.hi);
   }
 
   FssKey key;
-  key.shape_signature = shape.buffer();
-  key.signature = full.buffer();
-  key.fss_hash = FssBytesHash(key.shape_signature);
+  key.signature = w.buffer();
+  key.fss_hash =
+      FssBytesHash(std::string_view(key.signature).substr(0, shape_size));
   key.literal_hash = FssBytesHash(key.signature);
   return key;
 }

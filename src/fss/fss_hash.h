@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "query/query.h"
 
@@ -21,18 +22,18 @@ namespace autoce::fss {
 /// `MakeFssKey` canonicalizes before hashing (relations ascending, join
 /// edges and predicates sorted by field tuple), so the key is invariant
 /// under any permutation of the query's table / join / predicate lists.
-/// Both hashes are FNV-1a over the canonical byte encodings; the exact
-/// canonical bytes are kept in `signature` so every lookup can detect a
-/// hash collision instead of silently returning a stranger's knowledge.
+/// The canonical bytes are the shape followed by the predicate literals;
+/// both hashes are FNV-1a over them, and the bytes are kept in
+/// `signature` so every lookup can detect a hash collision instead of
+/// silently returning a stranger's knowledge.
 struct FssKey {
-  /// Hash of the shape (relations + join edges + predicate columns/ops).
+  /// Hash of the shape (relations + join edges + predicate columns/ops):
+  /// the shape prefix of `signature`.
   uint64_t fss_hash = 0;
   /// Hash of the shape plus the predicate literals — one concrete
-  /// binding of the subspace.
+  /// binding of the subspace: all of `signature`.
   uint64_t literal_hash = 0;
-  /// Canonical shape bytes (what `fss_hash` digests).
-  std::string shape_signature;
-  /// Canonical shape + literal bytes (what `literal_hash` digests).
+  /// Canonical shape bytes, then each predicate's literal interval.
   std::string signature;
 
   /// Exact equality: same canonical bytes, not merely same hashes.
@@ -46,7 +47,7 @@ struct FssKey {
 FssKey MakeFssKey(const query::Query& q);
 
 /// FNV-1a 64-bit over a byte string (exposed for tests and key mixing).
-uint64_t FssBytesHash(const std::string& bytes);
+uint64_t FssBytesHash(std::string_view bytes);
 
 }  // namespace autoce::fss
 

@@ -10,6 +10,12 @@ namespace autoce::gbdt {
 
 namespace {
 
+constexpr int kMinSamplesLeaf = 4;
+/// Candidate thresholds (feature quantiles) tried per feature.
+constexpr int kNumCandidateSplits = 16;
+/// Shrinkage applied to every boosted tree.
+constexpr double kLearningRate = 0.2;
+
 double MeanOf(const std::vector<double>& targets,
               const std::vector<int>& rows) {
   if (rows.empty()) return 0.0;
@@ -40,7 +46,7 @@ int RegressionTree::BuildNode(
   nodes_[static_cast<size_t>(node_id)].value = mean;
 
   if (depth >= params.max_depth ||
-      static_cast<int>(rows->size()) < 2 * params.min_samples_leaf) {
+      static_cast<int>(rows->size()) < 2 * kMinSamplesLeaf) {
     return node_id;
   }
 
@@ -62,9 +68,9 @@ int RegressionTree::BuildNode(
     std::sort(values.begin(), values.end());
     if (values.front() == values.back()) continue;
 
-    for (int q = 1; q <= params.num_candidate_splits; ++q) {
+    for (int q = 1; q <= kNumCandidateSplits; ++q) {
       size_t pos = values.size() * static_cast<size_t>(q) /
-                   static_cast<size_t>(params.num_candidate_splits + 1);
+                   static_cast<size_t>(kNumCandidateSplits + 1);
       pos = std::min(pos, values.size() - 1);
       double threshold = values[pos];
       if (threshold == values.back()) continue;  // nothing on the right
@@ -82,7 +88,7 @@ int RegressionTree::BuildNode(
           ++right_n;
         }
       }
-      if (left_n < params.min_samples_leaf || right_n < params.min_samples_leaf) {
+      if (left_n < kMinSamplesLeaf || right_n < kMinSamplesLeaf) {
         continue;
       }
       double left_mean = left_sum / left_n;
@@ -172,7 +178,6 @@ void GradientBoosting::Fit(const std::vector<std::vector<double>>& features,
 
   std::vector<double> residuals(targets.size());
   std::vector<double> current(targets.size(), base_prediction_);
-  Rng rng(params_.seed);
 
   std::vector<int> all_rows(features.size());
   for (size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = static_cast<int>(i);
@@ -181,21 +186,10 @@ void GradientBoosting::Fit(const std::vector<std::vector<double>>& features,
     for (size_t i = 0; i < targets.size(); ++i) {
       residuals[i] = targets[i] - current[i];
     }
-    std::vector<int> rows;
-    if (params_.subsample < 1.0) {
-      auto idx = rng.SampleWithoutReplacement(
-          static_cast<int64_t>(features.size()),
-          std::max<int64_t>(1, static_cast<int64_t>(
-                                   params_.subsample *
-                                   static_cast<double>(features.size()))));
-      rows.assign(idx.begin(), idx.end());
-    } else {
-      rows = all_rows;
-    }
     RegressionTree tree;
-    tree.Fit(features, residuals, rows, params_);
+    tree.Fit(features, residuals, all_rows, params_);
     for (size_t i = 0; i < features.size(); ++i) {
-      current[i] += params_.learning_rate * tree.Predict(features[i]);
+      current[i] += kLearningRate * tree.Predict(features[i]);
     }
     trees_.push_back(std::move(tree));
   }
@@ -204,7 +198,7 @@ void GradientBoosting::Fit(const std::vector<std::vector<double>>& features,
 double GradientBoosting::Predict(const std::vector<double>& row) const {
   double out = base_prediction_;
   for (const auto& tree : trees_) {
-    out += params_.learning_rate * tree.Predict(row);
+    out += kLearningRate * tree.Predict(row);
   }
   return out;
 }

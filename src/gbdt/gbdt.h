@@ -1,24 +1,17 @@
 #ifndef AUTOCE_GBDT_GBDT_H_
 #define AUTOCE_GBDT_GBDT_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
-
-#include "util/rng.h"
 
 namespace autoce::gbdt {
 
-/// Hyperparameters for regression trees and gradient boosting.
+/// Hyperparameters for regression trees and gradient boosting. Leaves
+/// hold at least 4 rows, each feature tries 16 quantile thresholds, and
+/// boosting shrinks every tree by 0.2 (constants in gbdt.cc).
 struct GbdtParams {
   int num_trees = 40;
   int max_depth = 5;
-  int min_samples_leaf = 4;
-  /// Number of candidate thresholds (feature quantiles) tried per feature.
-  int num_candidate_splits = 16;
-  double learning_rate = 0.2;
-  /// Row subsampling fraction per tree (stochastic gradient boosting).
-  double subsample = 1.0;
-  uint64_t seed = 42;
 };
 
 /// \brief A binary regression tree trained with variance-reduction splits.
@@ -28,7 +21,7 @@ struct GbdtParams {
 class RegressionTree {
  public:
   /// Fits the tree to (features, targets); `row_indices` selects the
-  /// training subset (useful for subsampling).
+  /// training subset.
   void Fit(const std::vector<std::vector<double>>& features,
            const std::vector<double>& targets,
            const std::vector<int>& row_indices, const GbdtParams& params);

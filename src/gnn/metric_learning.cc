@@ -19,8 +19,8 @@ double PerformanceSimilarity(const std::vector<double>& a,
 DmlTrainer::DmlTrainer(GinEncoder* encoder, DmlConfig config)
     : encoder_(encoder), config_(config) {
   optimizer_ = std::make_unique<nn::Adam>(
-      encoder_->Params(), encoder_->Grads(), config_.learning_rate, 0.9,
-      0.999, 1e-8, config_.clip_norm);
+      encoder_->Params(), encoder_->Grads(), config_.learning_rate,
+      config_.clip_norm);
 }
 
 Result<double> DmlTrainer::TrainBatch(

@@ -30,25 +30,6 @@ LossResult MseLoss(const Matrix& pred, const Matrix& target) {
   return out;
 }
 
-LossResult BceWithLogitsLoss(const Matrix& logits, const Matrix& target) {
-  AUTOCE_CHECK(logits.SameShape(target));
-  LossResult out;
-  out.grad = Matrix(logits.rows(), logits.cols());
-  double n = static_cast<double>(std::max<size_t>(logits.size(), 1));
-  for (size_t i = 0; i < logits.size(); ++i) {
-    double z = logits.data()[i];
-    double t = target.data()[i];
-    // log(1 + e^z) computed stably.
-    double log1pez = (z > 0.0) ? z + std::log1p(std::exp(-z))
-                               : std::log1p(std::exp(z));
-    out.loss += log1pez - t * z;
-    double sig = 1.0 / (1.0 + std::exp(-z));
-    out.grad.data()[i] = (sig - t) / n;
-  }
-  out.loss /= n;
-  return out;
-}
-
 Matrix Softmax(const Matrix& logits) {
   Matrix out(logits.rows(), logits.cols());
   for (size_t r = 0; r < logits.rows(); ++r) {

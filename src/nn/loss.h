@@ -17,10 +17,6 @@ struct LossResult {
 /// Mean squared error, averaged over all elements.
 LossResult MseLoss(const Matrix& pred, const Matrix& target);
 
-/// Binary cross entropy on logits (numerically stable), averaged over all
-/// elements; `target` entries must be in [0, 1].
-LossResult BceWithLogitsLoss(const Matrix& logits, const Matrix& target);
-
 /// Softmax cross entropy per row; `labels[r]` is the target class of row r.
 LossResult SoftmaxCrossEntropyLoss(const Matrix& logits,
                                    const std::vector<size_t>& labels);

@@ -1,6 +1,7 @@
 #include "obs/manifest.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -52,7 +53,10 @@ RunManifest::RunManifest(const std::string& name) : name_(name) {
 
 RunManifest& RunManifest::AddString(const std::string& key,
                                     const std::string& value) {
-  fields_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  std::string quoted = "\"";
+  quoted += JsonEscape(value);
+  quoted += '"';
+  fields_.emplace_back(key, std::move(quoted));
   return *this;
 }
 

@@ -1,9 +1,10 @@
 #include "obs/trace.h"
 
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace autoce::obs {
@@ -12,17 +13,19 @@ namespace internal {
 std::atomic<bool> g_trace_enabled{false};
 }  // namespace internal
 
-RealClock::RealClock()
-    : origin_ns_(static_cast<uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count())) {}
+namespace {
 
-uint64_t RealClock::NowMicros() {
-  uint64_t now = static_cast<uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-  return (now - origin_ns_) / 1000;
+/// The span clock: `clock`, or the steady clock zeroed now.
+Clock SpanClock(Clock clock) {
+  if (clock) return clock;
+  return [origin = SteadySeconds()] { return SteadySeconds() - origin; };
 }
 
-namespace {
+/// Seconds to whole microseconds, rounded: a simulated clock stepping
+/// k·1e-6 s can land just below k µs, which truncation would misread.
+uint64_t Micros(double seconds) {
+  return seconds > 0.0 ? static_cast<uint64_t>(std::llround(seconds * 1e6)) : 0;
+}
 
 /// One open span on the owning thread's stack.
 struct Frame {
@@ -46,7 +49,7 @@ ThreadSlot& Slot() {
 
 struct Tracer::State {
   mutable std::mutex mu;
-  std::unique_ptr<TraceClock> clock;
+  Clock clock;  // empty until the first Enable*
   std::FILE* file = nullptr;
   bool buffering = false;
   std::string buffer;
@@ -75,8 +78,7 @@ Tracer::Tracer() : state_(new State()) {
   }
 }
 
-void Tracer::EnableFile(const std::string& path,
-                        std::unique_ptr<TraceClock> clock) {
+void Tracer::EnableFile(const std::string& path, Clock clock) {
   std::lock_guard<std::mutex> lock(state_->mu);
   if (state_->file != nullptr) {
     std::fclose(state_->file);
@@ -89,13 +91,13 @@ void Tracer::EnableFile(const std::string& path,
   }
   std::fputs("[\n", state_->file);
   state_->buffering = false;
-  state_->clock = clock ? std::move(clock) : std::make_unique<RealClock>();
+  state_->clock = SpanClock(std::move(clock));
   ++state_->epoch;
   state_->next_tid = 0;
   internal::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
-void Tracer::EnableBuffer(std::unique_ptr<TraceClock> clock) {
+void Tracer::EnableBuffer(Clock clock) {
   std::lock_guard<std::mutex> lock(state_->mu);
   if (state_->file != nullptr) {
     std::fclose(state_->file);
@@ -103,7 +105,7 @@ void Tracer::EnableBuffer(std::unique_ptr<TraceClock> clock) {
   }
   state_->buffering = true;
   state_->buffer.clear();
-  state_->clock = clock ? std::move(clock) : std::make_unique<RealClock>();
+  state_->clock = SpanClock(std::move(clock));
   ++state_->epoch;
   state_->next_tid = 0;
   internal::g_trace_enabled.store(true, std::memory_order_relaxed);
@@ -153,7 +155,7 @@ void Tracer::BeginSpan(const char* name) {
       slot.epoch = state_->epoch;
       slot.tid = state_->next_tid++;
     }
-    start = state_->clock->NowMicros();
+    start = Micros(state_->clock());
   }
   slot.stack.push_back(Frame{name, start});
 }
@@ -166,7 +168,7 @@ void Tracer::EndSpan() {
 
   std::lock_guard<std::mutex> lock(state_->mu);
   if (state_->clock == nullptr) return;
-  uint64_t end = state_->clock->NowMicros();
+  uint64_t end = Micros(state_->clock());
   uint64_t dur = end >= frame.start_us ? end - frame.start_us : 0;
   uint64_t self = dur >= frame.child_us ? dur - frame.child_us : 0;
   if (!slot.stack.empty()) slot.stack.back().child_us += dur;

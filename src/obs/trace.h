@@ -4,8 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+
+#include "obs/clock.h"
 
 namespace autoce::obs {
 
@@ -21,8 +22,8 @@ namespace autoce::obs {
 /// Zero-cost-off: while no sink is enabled (`AUTOCE_TRACE` unset and no
 /// programmatic Enable*), constructing a TraceSpan is one relaxed
 /// atomic load and a branch. Determinism: all timestamps come from the
-/// injected TraceClock; with a FakeClock the serialized stream is
-/// bit-exact across runs and thread counts, because the repo's
+/// injected `obs::Clock`; with a simulated clock the serialized stream
+/// is bit-exact across runs and thread counts, because the repo's
 /// convention is to open spans only on the calling thread (worker-side
 /// code records counters, never spans).
 
@@ -36,37 +37,6 @@ inline bool TraceEnabled() {
   return internal::g_trace_enabled.load(std::memory_order_relaxed);
 }
 
-/// \brief Timestamp source for spans, in microseconds.
-class TraceClock {
- public:
-  virtual ~TraceClock() = default;
-  virtual uint64_t NowMicros() = 0;
-};
-
-/// Monotonic wall clock, zeroed at sink enable time.
-class RealClock : public TraceClock {
- public:
-  RealClock();
-  uint64_t NowMicros() override;
-
- private:
-  uint64_t origin_ns_;
-};
-
-/// Deterministic clock: every read advances by `step_micros`. Injected
-/// by tests so serialized traces are bit-exact.
-class FakeClock : public TraceClock {
- public:
-  explicit FakeClock(uint64_t step_micros = 1) : step_(step_micros) {}
-  uint64_t NowMicros() override {
-    return now_.fetch_add(step_, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> now_{0};
-  uint64_t step_;
-};
-
 /// Per-span-name rollup maintained alongside the event stream.
 struct SpanAggregate {
   int64_t count = 0;
@@ -78,16 +48,18 @@ struct SpanAggregate {
 class Tracer {
  public:
   /// The singleton. First construction reads `AUTOCE_TRACE`: a path
-  /// value enables a RealClock file sink flushed at process exit.
+  /// value enables a steady-clock file sink flushed at process exit.
   static Tracer& Instance();
 
-  /// Streams events to `path` (Chrome trace JSON). Passing a clock
-  /// overrides the default RealClock; the tracer takes ownership.
-  void EnableFile(const std::string& path,
-                  std::unique_ptr<TraceClock> clock = nullptr);
+  /// Streams events to `path` (Chrome trace JSON). Timestamps are
+  /// `clock` seconds rounded to whole microseconds; an empty clock is
+  /// the steady clock minus its value at this call, so a trace starts
+  /// near 0. Reads happen under the tracer's lock.
+  void EnableFile(const std::string& path, Clock clock = {});
 
-  /// Collects events in memory; retrieve with TakeBuffer().
-  void EnableBuffer(std::unique_ptr<TraceClock> clock = nullptr);
+  /// Collects events in memory; retrieve with TakeBuffer(). `clock` as
+  /// for EnableFile.
+  void EnableBuffer(Clock clock = {});
 
   /// Returns the buffered event stream (one JSON event per line,
   /// trailing commas, no enclosing array) and clears the buffer.
@@ -121,7 +93,7 @@ class Tracer {
 ///
 /// `name` must outlive the span (string literals in practice). Open
 /// spans only on the calling thread of deterministic control flow —
-/// never inside ParallelFor bodies — so FakeClock traces stay
+/// never inside ParallelFor bodies — so simulated-clock traces stay
 /// bit-exact across AUTOCE_THREADS settings.
 class TraceSpan {
  public:

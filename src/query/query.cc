@@ -57,6 +57,11 @@ std::string Query::ToString(const data::Dataset& dataset) const {
 
 namespace {
 
+/// Predicates drawn per selected table are at most this many.
+constexpr int kMaxPredicatesPerTable = 2;
+/// Every query gets at least this many predicates overall.
+constexpr int kMinTotalPredicates = 1;
+
 /// Chooses a random connected set of `target` tables over the join graph.
 std::vector<int> PickConnectedTables(const data::Dataset& dataset, int target,
                                      Rng* rng) {
@@ -162,7 +167,7 @@ std::vector<Query> GenerateWorkload(const data::Dataset& dataset,
       auto cols = PredicateColumns(dataset, t);
       if (cols.empty()) continue;
       int want = static_cast<int>(rng->UniformInt(
-          params.min_predicates_per_table, params.max_predicates_per_table));
+          params.min_predicates_per_table, kMaxPredicatesPerTable));
       rng->Shuffle(&cols);
       for (int i = 0; i < std::min<int>(want, static_cast<int>(cols.size()));
            ++i) {
@@ -171,10 +176,9 @@ std::vector<Query> GenerateWorkload(const data::Dataset& dataset,
             rng));
       }
     }
-    // Guarantee the configured minimum number of predicates.
+    // Guarantee the minimum number of predicates.
     int guard = 0;
-    while (static_cast<int>(q.predicates.size()) <
-               params.min_total_predicates &&
+    while (static_cast<int>(q.predicates.size()) < kMinTotalPredicates &&
            guard++ < 32) {
       int t = q.tables[static_cast<size_t>(
           rng->UniformInt(0, static_cast<int64_t>(q.tables.size()) - 1))];

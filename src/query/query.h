@@ -49,11 +49,9 @@ struct WorkloadParams {
   int num_queries = 100;
   /// Queries touch 1..max_tables connected tables (capped by the dataset).
   int max_tables = 5;
-  /// Predicates per selected table.
+  /// At least this many predicates per selected table; at most 2 per
+  /// table and at least 1 per query overall (constants in query.cc).
   int min_predicates_per_table = 0;
-  int max_predicates_per_table = 2;
-  /// At least this many predicates per query overall.
-  int min_total_predicates = 1;
   /// Probability a predicate is an equality (vs. a range).
   double eq_probability = 0.3;
 };

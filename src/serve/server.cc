@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
@@ -21,6 +22,9 @@ AdvisorServer::AdvisorServer(advisor::AutoCe advisor, ServerConfig config)
 Result<std::unique_ptr<AdvisorServer>> AdvisorServer::Open(
     const std::string& dir, ServerConfig config,
     util::SnapshotStoreOptions options) {
+  if (config.max_batch == 0) {
+    return Status::InvalidArgument("serve max_batch must be >= 1");
+  }
   uint64_t generation = 0;
   AUTOCE_ASSIGN_OR_RETURN(advisor::AutoCe advisor,
                           advisor::AutoCe::ResumeFit(dir, options,
@@ -91,9 +95,7 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
   // Deadlines are measured from burst start on the (injectable) clock;
   // a request's effective deadline is its own override or the server
   // default, 0 meaning "none".
-  const util::ClockFn& clock =
-      config_.clock ? config_.clock : util::ClockFn(&util::SteadyClockSeconds);
-  const double burst_start = clock();
+  const double burst_start = obs::Now(config_.clock);
   auto deadline_of = [this](const RecommendRequest& request) {
     return request.deadline_ms > 0.0 ? request.deadline_ms
                                      : config_.request_deadline_ms;
@@ -116,7 +118,7 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
   // request content, never on thread count.
   std::vector<size_t> admitted;
   admitted.reserve(std::min(requests.size(), config_.queue_capacity));
-  const double admission_elapsed_ms = (clock() - burst_start) * 1000.0;
+  const double admission_elapsed_ms = (obs::Now(config_.clock) - burst_start) * 1000.0;
   // Each request's fingerprint: the admission fault key and the
   // embedding-cache key.
   std::vector<uint64_t> keys(requests.size());
@@ -160,7 +162,7 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
     // burst's time, and an admitted request whose deadline has since
     // passed is shed instead of embedded — it would miss its deadline
     // anyway, and shedding it keeps its batch slot for live requests.
-    const double batch_elapsed_ms = (clock() - burst_start) * 1000.0;
+    const double batch_elapsed_ms = (obs::Now(config_.clock) - burst_start) * 1000.0;
     struct Pending {
       size_t request;     // index into `requests`
       uint64_t key;

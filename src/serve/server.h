@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "advisor/autoce.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
-#include "util/budget.h"
 #include "util/result.h"
 #include "util/snapshot.h"
 
@@ -20,7 +20,7 @@ namespace autoce::serve {
 /// Configuration of the embedded advisor service.
 struct ServerConfig {
   /// Coalesce at most this many admitted requests into one batched GIN
-  /// forward (GinEncoder::EmbedBatch).
+  /// forward (GinEncoder::EmbedBatch); >= 1.
   size_t max_batch = 8;
   /// Admission bound per Serve call: requests beyond this many are shed
   /// to the degraded corpus-default recommendation instead of queueing.
@@ -36,10 +36,10 @@ struct ServerConfig {
   /// per request by `RecommendRequest::deadline_ms`.
   double request_deadline_ms = 0.0;
   /// Monotonic seconds source for deadline checks (steady clock when
-  /// null). Deadline shedding under the real clock is load-dependent —
+  /// empty). Deadline shedding under the real clock is load-dependent —
   /// execution metadata like `from_cache`, excluded from determinism
   /// digests; tests inject a clock to make it reproducible.
-  util::ClockFn clock;
+  obs::Clock clock;
 };
 
 /// One recommendation request. `id` is echoed back so callers can match
@@ -117,7 +117,8 @@ struct ServerStats {
 /// advisor (construction, Reload) and compared at every batch.
 class AdvisorServer {
  public:
-  /// Wraps a fitted advisor. `Reload` requires AttachStore afterwards.
+  /// Wraps a fitted advisor. `Reload` requires AttachStore afterwards;
+  /// `config.max_batch` must be >= 1.
   explicit AdvisorServer(advisor::AutoCe advisor, ServerConfig config = {});
 
   AdvisorServer(const AdvisorServer&) = delete;
@@ -125,7 +126,8 @@ class AdvisorServer {
 
   /// Opens a server over the newest good snapshot generation in `dir`
   /// (resuming an interrupted fit if the snapshot is mid-training) and
-  /// attaches the store for hot reloads.
+  /// attaches the store for hot reloads. InvalidArgument when
+  /// `config.max_batch` is 0.
   static Result<std::unique_ptr<AdvisorServer>> Open(
       const std::string& dir, ServerConfig config = {},
       util::SnapshotStoreOptions options = {});

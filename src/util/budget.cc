@@ -1,29 +1,22 @@
 #include "util/budget.h"
 
-#include <chrono>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 namespace autoce::util {
 
-double SteadyClockSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-DeadlineBudget::DeadlineBudget(double budget_seconds, ClockFn clock)
-    : budget_seconds_(budget_seconds),
-      clock_(clock ? std::move(clock) : ClockFn(&SteadyClockSeconds)) {}
+DeadlineBudget::DeadlineBudget(double budget_seconds, obs::Clock clock)
+    : budget_seconds_(budget_seconds), clock_(std::move(clock)) {}
 
 void DeadlineBudget::Arm() {
-  armed_at_.store(clock_(), std::memory_order_relaxed);
+  armed_at_.store(obs::Now(clock_), std::memory_order_relaxed);
   armed_.store(true, std::memory_order_release);
 }
 
 double DeadlineBudget::Elapsed() const {
   if (!armed_.load(std::memory_order_acquire)) return 0.0;
-  double elapsed = clock_() - armed_at_.load(std::memory_order_relaxed);
+  double elapsed = obs::Now(clock_) - armed_at_.load(std::memory_order_relaxed);
   return elapsed < 0.0 ? 0.0 : elapsed;
 }
 

@@ -3,21 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 
+#include "obs/clock.h"
 #include "util/status.h"
 
 namespace autoce::util {
-
-/// Monotonic time source in seconds. The default reads
-/// `std::chrono::steady_clock`; tests and the soak harness inject a
-/// simulated clock so budget decisions are a pure function of the
-/// driving schedule rather than of host speed.
-using ClockFn = std::function<double()>;
-
-/// The process steady-clock in seconds (the default ClockFn).
-double SteadyClockSeconds();
 
 /// \brief A wall-clock budget with `Status`-typed exhaustion.
 ///
@@ -40,8 +31,8 @@ double SteadyClockSeconds();
 class DeadlineBudget {
  public:
   /// \param budget_seconds Total allowance; <= 0 disables enforcement.
-  /// \param clock Monotonic seconds source (steady clock when null).
-  explicit DeadlineBudget(double budget_seconds, ClockFn clock = nullptr);
+  /// \param clock Monotonic seconds source (steady clock when empty).
+  explicit DeadlineBudget(double budget_seconds, obs::Clock clock = {});
 
   /// (Re)starts the countdown at the clock's current instant.
   void Arm();
@@ -63,7 +54,7 @@ class DeadlineBudget {
 
  private:
   double budget_seconds_;
-  ClockFn clock_;
+  obs::Clock clock_;
   std::atomic<double> armed_at_{0.0};
   std::atomic<bool> armed_{false};
 };

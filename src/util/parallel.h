@@ -7,7 +7,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace autoce::util {
@@ -86,19 +85,6 @@ auto ParallelMap(size_t begin, size_t end, size_t grain, Fn&& fn)
   ParallelFor(begin, end, grain,
               [&](size_t i) { out[i - begin] = fn(i); });
   return out;
-}
-
-/// Ordered reduction: computes `fn(i)` in parallel, then folds the
-/// results into `init` strictly in index order. Floating-point
-/// accumulations stay bit-identical at every thread count because the
-/// merge sequence is fixed.
-template <typename Acc, typename Fn, typename Merge>
-Acc ParallelOrderedReduce(size_t begin, size_t end, size_t grain, Acc init,
-                          Fn&& fn, Merge&& merge) {
-  auto parts = ParallelMap(begin, end, grain, std::forward<Fn>(fn));
-  Acc acc = std::move(init);
-  for (auto& part : parts) acc = merge(std::move(acc), std::move(part));
-  return acc;
 }
 
 }  // namespace autoce::util

@@ -1,25 +1,23 @@
 #ifndef AUTOCE_UTIL_TIMER_H_
 #define AUTOCE_UTIL_TIMER_H_
 
-#include <chrono>
+#include "obs/clock.h"
 
 namespace autoce {
 
-/// \brief Monotonic wall-clock stopwatch.
+/// \brief Monotonic wall-clock stopwatch on `obs::SteadySeconds`.
 ///
 /// Used to measure CE-model inference latency (paper's T_mean metric) and
 /// the end-to-end latency of plan execution in the engine substrate.
 class Timer {
  public:
-  Timer() : start_(Clock::now()) {}
+  Timer() : start_(obs::SteadySeconds()) {}
 
   /// Restarts the stopwatch.
-  void Reset() { start_ = Clock::now(); }
+  void Reset() { start_ = obs::SteadySeconds(); }
 
   /// Elapsed seconds since construction or last Reset.
-  double ElapsedSeconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
+  double ElapsedSeconds() const { return obs::SteadySeconds() - start_; }
 
   /// Elapsed milliseconds.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
@@ -28,8 +26,7 @@ class Timer {
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start_;
+  double start_;
 };
 
 }  // namespace autoce

@@ -173,7 +173,6 @@ TEST(ModelAccuracyTest, DataDrivenBeatIndependenceOnCorrelatedData) {
   query::WorkloadParams wp;
   wp.num_queries = 120;
   wp.min_predicates_per_table = 2;
-  wp.max_predicates_per_table = 2;
   auto qs = query::GenerateWorkload(ds, wp, &rng);
   auto cards = engine::TrueCardinalities(ds, qs);
 

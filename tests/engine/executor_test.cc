@@ -145,7 +145,6 @@ TEST_P(TreeCountMatchesBruteForce, OnRandomQueries) {
   query::WorkloadParams wp;
   wp.num_queries = 8;
   wp.max_tables = num_tables;
-  wp.min_total_predicates = 1;
   auto qs = query::GenerateWorkload(ds, wp, &rng);
   for (const auto& q : qs) {
     auto r = TrueCardinality(ds, q);

@@ -107,24 +107,6 @@ TEST(GradientBoostingTest, FitsInteraction) {
   EXPECT_LT(gb.Predict({0.1, 0.9}), -2.0);
 }
 
-TEST(GradientBoostingTest, SubsamplingStillLearns) {
-  Rng rng(13);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (int i = 0; i < 500; ++i) {
-    double v = rng.Uniform(0, 1);
-    x.push_back({v});
-    y.push_back(v > 0.5 ? 1.0 : 0.0);
-  }
-  GbdtParams p;
-  p.subsample = 0.5;
-  p.num_trees = 40;
-  GradientBoosting gb(p);
-  gb.Fit(x, y);
-  EXPECT_GT(gb.Predict({0.95}), 0.7);
-  EXPECT_LT(gb.Predict({0.05}), 0.3);
-}
-
 TEST(GradientBoostingTest, DeterministicForSeed) {
   Rng rng(17);
   std::vector<std::vector<double>> x;
@@ -134,9 +116,7 @@ TEST(GradientBoostingTest, DeterministicForSeed) {
     x.push_back({v});
     y.push_back(v * v);
   }
-  GbdtParams p;
-  p.subsample = 0.7;
-  GradientBoosting a(p), b(p);
+  GradientBoosting a, b;
   a.Fit(x, y);
   b.Fit(x, y);
   for (double q : {0.1, 0.5, 0.9}) {

@@ -25,22 +25,6 @@ TEST(LossTest, MsePerfectPrediction) {
   EXPECT_DOUBLE_EQ(r.grad.Norm(), 0.0);
 }
 
-TEST(LossTest, BceWithLogitsStableAtExtremes) {
-  Matrix logits = Matrix::FromRows({{1000.0, -1000.0}});
-  Matrix target = Matrix::FromRows({{1.0, 0.0}});
-  auto r = BceWithLogitsLoss(logits, target);
-  EXPECT_TRUE(std::isfinite(r.loss));
-  EXPECT_NEAR(r.loss, 0.0, 1e-9);
-}
-
-TEST(LossTest, BceMatchesManualComputation) {
-  Matrix logits = Matrix::FromRows({{0.0}});
-  Matrix target = Matrix::FromRows({{1.0}});
-  auto r = BceWithLogitsLoss(logits, target);
-  EXPECT_NEAR(r.loss, std::log(2.0), 1e-12);
-  EXPECT_NEAR(r.grad(0, 0), -0.5, 1e-12);
-}
-
 TEST(LossTest, SoftmaxRowsSumToOne) {
   Matrix logits = Matrix::FromRows({{1, 2, 3}, {-5, 0, 5}});
   Matrix p = Softmax(logits);
@@ -65,17 +49,6 @@ TEST(LossTest, SoftmaxCrossEntropyUniformLogits) {
   Matrix logits(1, 4, 0.0);
   auto r = SoftmaxCrossEntropyLoss(logits, {0});
   EXPECT_NEAR(r.loss, std::log(4.0), 1e-12);
-}
-
-TEST(OptimizerTest, SgdMinimizesQuadratic) {
-  Matrix param = Matrix::FromRows({{5.0}});
-  Matrix grad(1, 1);
-  Sgd sgd({&param}, {&grad}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    grad(0, 0) = 2.0 * param(0, 0);  // d/dx x^2
-    sgd.Step();
-  }
-  EXPECT_NEAR(param(0, 0), 0.0, 1e-6);
 }
 
 TEST(OptimizerTest, AdamMinimizesQuadraticWithOffset) {

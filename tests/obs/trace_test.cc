@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "util/parallel.h"
@@ -21,6 +21,16 @@ std::string ReadFile(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
   std::fclose(f);
   return out;
+}
+
+/// A simulated clock starting at 0 whose every read advances it by
+/// `step_us` microseconds.
+Clock FakeClock(uint64_t step_us) {
+  return [now_us = uint64_t{0}, step_us]() mutable {
+    double seconds = static_cast<double>(now_us) * 1e-6;
+    now_us += step_us;
+    return seconds;
+  };
 }
 
 // Every test drives the singleton through a fresh EnableBuffer/
@@ -40,7 +50,7 @@ TEST(TraceTest, ZeroCostOffRecordsNothing) {
 TEST(TraceTest, NestedSpansSerializeAndAggregate) {
   Tracer& tracer = Tracer::Instance();
   tracer.Reset();
-  tracer.EnableBuffer(std::make_unique<FakeClock>(1));
+  tracer.EnableBuffer(FakeClock(1));
   {
     TraceSpan outer("outer");
     { TraceSpan inner("inner"); }
@@ -66,7 +76,7 @@ TEST(TraceTest, NestedSpansSerializeAndAggregate) {
 TEST(TraceTest, SelfTimeExcludesOnlyDirectChildren) {
   Tracer& tracer = Tracer::Instance();
   tracer.Reset();
-  tracer.EnableBuffer(std::make_unique<FakeClock>(1));
+  tracer.EnableBuffer(FakeClock(1));
   {
     TraceSpan a("a");
     {
@@ -90,7 +100,7 @@ TEST(TraceTest, SelfTimeExcludesOnlyDirectChildren) {
 TEST(TraceTest, SiblingDurationsBothCountAgainstParent) {
   Tracer& tracer = Tracer::Instance();
   tracer.Reset();
-  tracer.EnableBuffer(std::make_unique<FakeClock>(1));
+  tracer.EnableBuffer(FakeClock(1));
   {
     TraceSpan parent("parent");
     { TraceSpan first("first"); }
@@ -112,7 +122,7 @@ TEST(TraceTest, BufferBitExactAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     util::SetGlobalParallelism(threads);
     tracer.Reset();
-    tracer.EnableBuffer(std::make_unique<FakeClock>(1));
+    tracer.EnableBuffer(FakeClock(1));
     std::atomic<int64_t> sink{0};
     {
       TraceSpan burst("tt.burst");
@@ -142,7 +152,7 @@ TEST(TraceTest, FileSinkIsLoadableChromeTraceJson) {
   const std::string path = "tt_trace_sink.json";
   Tracer& tracer = Tracer::Instance();
   tracer.Reset();
-  tracer.EnableFile(path, std::make_unique<FakeClock>(1));
+  tracer.EnableFile(path, FakeClock(1));
   {
     TraceSpan span("tt.file");
   }
@@ -163,7 +173,7 @@ TEST(TraceTest, FileSinkIsLoadableChromeTraceJson) {
 TEST(TraceTest, ResetClearsAggregatesAndBuffer) {
   Tracer& tracer = Tracer::Instance();
   tracer.Reset();
-  tracer.EnableBuffer(std::make_unique<FakeClock>(1));
+  tracer.EnableBuffer(FakeClock(1));
   {
     TraceSpan span("tt.reset");
   }
@@ -176,7 +186,7 @@ TEST(TraceTest, ResetClearsAggregatesAndBuffer) {
 TEST(TraceTest, AggregatesAccumulateAcrossRepeatedSpans) {
   Tracer& tracer = Tracer::Instance();
   tracer.Reset();
-  tracer.EnableBuffer(std::make_unique<FakeClock>(2));
+  tracer.EnableBuffer(FakeClock(2));
   for (int i = 0; i < 4; ++i) {
     TraceSpan span("tt.repeat");
   }

@@ -53,7 +53,6 @@ TEST_P(WorkloadPropertyTest, DroppingPredicatesGrowsCardinality) {
   WorkloadParams wp;
   wp.num_queries = 12;
   wp.max_tables = tables;
-  wp.min_total_predicates = 1;
   auto qs = GenerateWorkload(ds, wp, &rng);
   for (const auto& q : qs) {
     if (q.predicates.empty()) continue;

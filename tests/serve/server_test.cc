@@ -441,6 +441,25 @@ TEST_F(ServerTest, InvalidGraphIsRejectedWhileOthersAreServed) {
   EXPECT_EQ(server.stats().invalid, 1u);
 }
 
+TEST_F(ServerTest, OpenRejectsZeroMaxBatch) {
+  // A fitted store, so only the batch bound can make Open fail.
+  std::string dir = TempStoreDir("serve_zero_batch");
+  advisor::AutoCe advisor(TinyConfig());
+  ASSERT_TRUE(advisor.EnableSnapshots(dir).ok());
+  std::vector<featgraph::FeatureGraph> train(graphs_->begin(),
+                                             graphs_->begin() + 9);
+  std::vector<advisor::DatasetLabel> train_labels(labels_->begin(),
+                                                  labels_->begin() + 9);
+  ASSERT_TRUE(advisor.Fit(train, train_labels).ok());
+
+  ServerConfig cfg;
+  cfg.max_batch = 0;
+  auto server = AdvisorServer::Open(dir, cfg);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(AdvisorServer::Open(dir).ok());
+}
+
 TEST_F(ServerTest, ReloadAdvancesGenerationAndServesNewModel) {
   std::string dir = TempStoreDir("serve_reload_gen");
   advisor::AutoCe advisor(TinyConfig());

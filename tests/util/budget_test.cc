@@ -16,7 +16,7 @@ namespace {
 /// Injectable clock backed by a plain variable the test advances.
 struct FakeClock {
   double now = 0.0;
-  ClockFn fn() {
+  obs::Clock fn() {
     return [this] { return now; };
   }
 };

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <vector>
 
 #include "util/rng.h"
@@ -71,21 +70,6 @@ TEST_P(ParallelForSweep, MapProducesIndexOrderedResults) {
   auto out = ParallelMap(3, 103, 5, [](size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
   for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], (i + 3) * (i + 3));
-}
-
-TEST_P(ParallelForSweep, OrderedReduceMergesInIndexOrder) {
-  // The merge sequence must be exactly 0, 1, ..., n-1 regardless of
-  // which thread computed which part.
-  auto order = ParallelOrderedReduce(
-      0, 64, 3, std::vector<size_t>{},
-      [](size_t i) { return i; },
-      [](std::vector<size_t> acc, size_t i) {
-        acc.push_back(i);
-        return acc;
-      });
-  std::vector<size_t> expect(64);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(order, expect);
 }
 
 TEST_P(ParallelForSweep, PerTaskRngResultsMatchSequentialReference) {

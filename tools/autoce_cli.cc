@@ -374,8 +374,13 @@ int CmdServe(const Args& args) {
     std::fprintf(stderr, "serve: --data DIR is required\n");
     return 2;
   }
+  const int64_t batch = args.GetInt("batch", 8);
+  if (batch < 1) {
+    std::fprintf(stderr, "serve: --batch must be >= 1\n");
+    return 2;
+  }
   serve::ServerConfig config;
-  config.max_batch = static_cast<size_t>(args.GetInt("batch", 8));
+  config.max_batch = static_cast<size_t>(batch);
   config.queue_capacity = static_cast<size_t>(args.GetInt("queue", 64));
   config.request_deadline_ms = args.GetDouble("deadline-ms", 0.0);
   util::SnapshotStoreOptions store_options;
@@ -645,6 +650,11 @@ int CmdAdapt(const Args& args) {
                  "adapt: --snapshot-dir DIR and --data DIR are required\n");
     return 2;
   }
+  const int64_t batch = args.GetInt("batch", 4);
+  if (batch < 1) {
+    std::fprintf(stderr, "adapt: --batch must be >= 1\n");
+    return 2;
+  }
   auto files = ListAdatFiles(data_dir);
   if (files.empty()) {
     std::fprintf(stderr, "adapt: no .adat datasets in %s\n",
@@ -660,7 +670,7 @@ int CmdAdapt(const Args& args) {
 
   adapt::AdaptationConfig config;
   config.queue_capacity = static_cast<size_t>(args.GetInt("queue", 64));
-  config.batch_size = static_cast<size_t>(args.GetInt("batch", 4));
+  config.batch_size = static_cast<size_t>(batch);
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   config.testbed.num_train_queries =
       static_cast<int>(args.GetInt("train-queries", 200));
