@@ -1,5 +1,7 @@
 #include "ce/testbed.h"
 
+#include <array>
+#include <cctype>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -87,6 +89,35 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
   std::vector<ModelId> ids =
       config.models.empty() ? AllModels() : config.models;
 
+  // Counters and histograms only inside the parallel region (never
+  // spans): cells run on worker threads, and trace streams must not
+  // depend on thread count (DESIGN.md §5.9). The per-model timing
+  // histograms carry perfbench's lowercase model keys.
+  struct CellMetrics {
+    obs::Counter* cells;
+    obs::Counter* failures;
+    obs::Counter* retries;
+    std::array<obs::Histogram*, kNumModels> train_ms;  ///< by ModelId
+    std::array<obs::Histogram*, kNumModels> infer_ms;
+  };
+  static const CellMetrics cell_metrics = [] {
+    auto& reg = obs::MetricsRegistry::Instance();
+    CellMetrics m{reg.GetCounter("testbed.cells"),
+                  reg.GetCounter("testbed.cell_failures"),
+                  reg.GetCounter("testbed.cell_retries"), {}, {}};
+    for (ModelId id : AllModels()) {
+      std::string key = ModelName(id);
+      for (char& c : key) {
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      }
+      m.train_ms[static_cast<size_t>(id)] =
+          reg.GetHistogram("testbed.train_ms", {{"model", key}});
+      m.infer_ms[static_cast<size_t>(id)] =
+          reg.GetHistogram("testbed.infer_ms", {{"model", key}});
+    }
+    return m;
+  }();
+
   // Trains and measures one candidate on one attempt. Any failure —
   // a Train() error, an injected fault, or a non-finite estimate or
   // aggregate from a diverged model — comes back as a Status with the
@@ -97,7 +128,9 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
     auto model = CreateModel(id, config.scale);
     Timer train_timer;
     Status st = model->Train(cell_ctx);
-    perf->train_seconds += train_timer.ElapsedSeconds();
+    const double train_s = train_timer.ElapsedSeconds();
+    perf->train_seconds += train_s;
+    cell_metrics.train_ms[static_cast<size_t>(id)]->Observe(1e3 * train_s);
     if (st.ok() &&
         util::FaultPoint(util::fault_sites::kTestbedTrain,
                          util::FaultKeyMix(cell_ctx.seed,
@@ -125,8 +158,10 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
       }
       qerrors.push_back(QError(est, out.test_cards[i]));
     }
+    const double infer_ms = infer_timer.ElapsedMillis();
+    cell_metrics.infer_ms[static_cast<size_t>(id)]->Observe(infer_ms);
     perf->latency_mean_ms =
-        infer_timer.ElapsedMillis() /
+        infer_ms /
         static_cast<double>(std::max<size_t>(1, out.test_queries.size()));
     if (config.emulate_reference_latency) {
       // Use the reference cost alone: labels become fully
@@ -186,20 +221,6 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
   // with a derived seed (so an unlucky initialization does not repeat
   // verbatim); a cell that still fails is recorded trained_ok = false
   // with its FailureInfo and sentinel metrics.
-  // Counters only inside the parallel region (never spans): cells run
-  // on worker threads, and trace streams must not depend on thread
-  // count (DESIGN.md §5.9).
-  struct CellMetrics {
-    obs::Counter* cells;
-    obs::Counter* failures;
-    obs::Counter* retries;
-  };
-  static const CellMetrics cell_metrics = [] {
-    auto& reg = obs::MetricsRegistry::Instance();
-    return CellMetrics{reg.GetCounter("testbed.cells"),
-                       reg.GetCounter("testbed.cell_failures"),
-                       reg.GetCounter("testbed.cell_retries")};
-  }();
   struct CellOut {
     ModelPerformance snap;
     ModelPerformance post;

@@ -10,23 +10,27 @@
 
 namespace autoce::engine {
 
-/// Evaluates the conjunction of `predicates` over `table`, returning a
-/// 0/1 mask over rows.
-std::vector<char> FilterMask(const data::Table& table,
-                             const std::vector<query::Predicate>& predicates);
-
-/// Row indices passing the conjunction of `predicates`.
+/// Row indices passing the conjunction of `predicates`, ascending. A row
+/// past the end of a predicate's (shorter) column does not pass it.
 std::vector<int32_t> FilterRows(
     const data::Table& table,
     const std::vector<query::Predicate>& predicates);
+
+/// OK when `joins` form a spanning tree of `tables`: every table is one of
+/// `dataset`'s, every join's two tables are in `tables`, and the
+/// |tables| - 1 joins connect them. The join-graph check of
+/// `TrueCardinality`, `JoinSampler::Create` and `JoinOrderOptimizer`.
+Status CheckJoinTree(const data::Dataset& dataset,
+                     const std::vector<int>& tables,
+                     const std::vector<data::ForeignKey>& joins);
 
 /// \brief Exact COUNT(*) of an SPJ query.
 ///
 /// Exploits the fact that generated join graphs are trees: cardinalities
 /// are computed by bottom-up message passing (per-join-key weights),
 /// which is exact and runs in O(total rows × join degree) without
-/// materializing intermediate results. Returns an error if the query's
-/// join graph is not a connected tree over its tables.
+/// materializing intermediate results. Returns `CheckJoinTree`'s error
+/// if the query's joins are not a spanning tree of its tables.
 Result<int64_t> TrueCardinality(const data::Dataset& dataset,
                                 const query::Query& q);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "engine/executor.h"
 #include "util/logging.h"
 
 namespace autoce::engine {
@@ -23,9 +24,7 @@ Result<JoinSampler> JoinSampler::Create(const data::Dataset* dataset,
                                         std::vector<int> tables,
                                         std::vector<data::ForeignKey> joins) {
   if (tables.empty()) return Status::InvalidArgument("no tables");
-  if (joins.size() != tables.size() - 1) {
-    return Status::InvalidArgument("join graph is not a tree");
-  }
+  AUTOCE_RETURN_NOT_OK(CheckJoinTree(*dataset, tables, joins));
 
   JoinSampler s;
   s.dataset_ = dataset;

@@ -25,7 +25,8 @@ namespace autoce::engine {
 class JoinSampler {
  public:
   /// Builds a sampler for the join over `tables` with `joins` (must form
-  /// a connected tree; a single table with no joins is also valid).
+  /// a spanning tree of `tables`, see `CheckJoinTree`; a single table
+  /// with no joins is also valid).
   static Result<JoinSampler> Create(const data::Dataset* dataset,
                                     std::vector<int> tables,
                                     std::vector<data::ForeignKey> joins);

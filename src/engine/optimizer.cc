@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
+#include "engine/executor.h"
 #include "util/logging.h"
 
 namespace autoce::engine {
@@ -39,17 +39,52 @@ query::Query JoinOrderOptimizer::SubQuery(const query::Query& q,
                                           const std::vector<int>& tables) {
   query::Query sub;
   sub.tables = tables;
-  std::unordered_set<int> in_set(tables.begin(), tables.end());
+  // A subplan joins a handful of tables: a linear scan beats hashing.
+  auto in_set = [&tables](int t) {
+    return std::find(tables.begin(), tables.end(), t) != tables.end();
+  };
   for (const auto& j : q.joins) {
-    if (in_set.count(j.fk_table) && in_set.count(j.pk_table)) {
-      sub.joins.push_back(j);
-    }
+    if (in_set(j.fk_table) && in_set(j.pk_table)) sub.joins.push_back(j);
   }
   for (const auto& p : q.predicates) {
-    if (in_set.count(p.table)) sub.predicates.push_back(p);
+    if (in_set(p.table)) sub.predicates.push_back(p);
   }
   return sub;
 }
+
+namespace {
+
+/// The cheapest plan of one connected subset of a query's tables: its
+/// estimate and cost, and for a join the split that achieved them. The
+/// DP keeps only these; the plan tree is built once, from the full set.
+struct DpEntry {
+  double card = 0.0;
+  double cost = 0.0;
+  bool valid = false;
+  uint32_t probe = 0;  ///< probe-side subset; 0 for a single table
+  uint32_t build = 0;  ///< build-side subset
+  const data::ForeignKey* edge = nullptr;
+};
+
+std::unique_ptr<PlanNode> BuildPlan(const std::vector<DpEntry>& dp,
+                                    uint32_t s,
+                                    const std::vector<int>& tables) {
+  const DpEntry& e = dp[s];
+  auto node = std::make_unique<PlanNode>();
+  node->estimated_cardinality = e.card;
+  node->cost = e.cost;
+  if (e.probe == 0) {
+    node->table = tables[static_cast<size_t>(__builtin_ctz(s))];
+    return node;
+  }
+  node->kind = PlanNode::Kind::kHashJoin;
+  node->edge = *e.edge;
+  node->left = BuildPlan(dp, e.probe, tables);
+  node->right = BuildPlan(dp, e.build, tables);
+  return node;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<PlanNode>> JoinOrderOptimizer::Optimize(
     const query::Query& q, CardinalitySource* source) {
@@ -64,13 +99,7 @@ Result<std::unique_ptr<PlanNode>> JoinOrderOptimizer::Optimize(
   size_t n = q.tables.size();
   if (n == 0) return Status::InvalidArgument("empty query");
   if (n > 12) return Status::InvalidArgument("too many tables for DP");
-  // A connected tree over n tables has exactly n - 1 joins; reject
-  // cyclic graphs up front (disconnection falls out of the DP below).
-  // Mirrors engine::TrueCardinality / engine::JoinSampler.
-  if (q.joins.size() + 1 != n) {
-    return Status::InvalidArgument(
-        "query join graph is not a tree (|joins| != |tables| - 1)");
-  }
+  AUTOCE_RETURN_NOT_OK(CheckJoinTree(*dataset_, q.tables, q.joins));
 
   // Local index <-> table id.
   const std::vector<int>& tables = q.tables;
@@ -85,14 +114,11 @@ Result<std::unique_ptr<PlanNode>> JoinOrderOptimizer::Optimize(
   std::vector<uint32_t> neighbor_mask(n, 0);
   for (const auto& j : q.joins) {
     int a = index_of(j.fk_table), b = index_of(j.pk_table);
-    if (a < 0 || b < 0) {
-      return Status::InvalidArgument("join references a table not in query");
-    }
     neighbor_mask[static_cast<size_t>(a)] |= 1u << b;
     neighbor_mask[static_cast<size_t>(b)] |= 1u << a;
   }
 
-  uint32_t full = (n == 32) ? 0xFFFFFFFFu : ((1u << n) - 1);
+  const uint32_t full = (1u << n) - 1;
 
   auto is_connected = [&](uint32_t s) {
     if (s == 0) return false;
@@ -119,36 +145,22 @@ Result<std::unique_ptr<PlanNode>> JoinOrderOptimizer::Optimize(
     return out;
   };
 
-  struct Entry {
-    std::unique_ptr<PlanNode> plan;
-    double card = 0.0;
-    double cost = 0.0;
-    bool valid = false;
-  };
-  std::vector<Entry> dp(static_cast<size_t>(full) + 1);
+  std::vector<DpEntry> dp(static_cast<size_t>(full) + 1);
 
   // Base: single tables.
   for (size_t i = 0; i < n; ++i) {
-    uint32_t s = 1u << i;
-    Entry& e = dp[s];
-    auto node = std::make_unique<PlanNode>();
-    node->kind = PlanNode::Kind::kScan;
-    node->table = tables[i];
-    query::Query sub = SubQuery(q, {tables[i]});
-    e.card = std::max(0.0, card_fn(sub));
+    DpEntry& e = dp[1u << i];
+    e.card = std::max(0.0, card_fn(SubQuery(q, {tables[i]})));
     double base_rows =
         static_cast<double>(dataset_->table(tables[i]).NumRows());
     e.cost = cost_.scan_cost_per_row * base_rows;
-    node->estimated_cardinality = e.card;
-    node->cost = e.cost;
-    e.plan = std::move(node);
     e.valid = true;
   }
 
   // DP over connected subsets in increasing popcount order.
   for (uint32_t s = 1; s <= full; ++s) {
     if (__builtin_popcount(s) < 2 || !is_connected(s)) continue;
-    Entry& best = dp[s];
+    DpEntry& best = dp[s];
     double subset_card = -1.0;
     // Enumerate proper sub-splits: s1 strict non-empty subset of s.
     for (uint32_t s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
@@ -173,51 +185,21 @@ Result<std::unique_ptr<PlanNode>> JoinOrderOptimizer::Optimize(
         subset_card = std::max(0.0, card_fn(SubQuery(q, tables_of(s))));
       }
       // Build on the smaller estimated side.
-      const Entry* probe = &dp[s1];
-      const Entry* build = &dp[s2];
-      uint32_t probe_mask = s1, build_mask = s2;
-      if (probe->card < build->card) {
-        std::swap(probe, build);
-        std::swap(probe_mask, build_mask);
-      }
-      double cost = probe->cost + build->cost +
-                    cost_.build_cost_per_row * build->card +
-                    cost_.probe_cost_per_row * probe->card +
+      uint32_t probe = s1, build = s2;
+      if (dp[probe].card < dp[build].card) std::swap(probe, build);
+      double cost = dp[probe].cost + dp[build].cost +
+                    cost_.build_cost_per_row * dp[build].card +
+                    cost_.probe_cost_per_row * dp[probe].card +
                     cost_.output_cost_per_row * subset_card;
       if (!best.valid || cost < best.cost) {
-        auto node = std::make_unique<PlanNode>();
-        node->kind = PlanNode::Kind::kHashJoin;
-        node->edge = *cut_edge;
-        node->estimated_cardinality = subset_card;
-        node->cost = cost;
-        // Clone subplans by re-optimizing is wasteful; instead move and
-        // re-create on demand. We deep-copy to keep dp entries intact.
-        std::function<std::unique_ptr<PlanNode>(const PlanNode&)> clone =
-            [&](const PlanNode& p) {
-              auto c = std::make_unique<PlanNode>();
-              c->kind = p.kind;
-              c->table = p.table;
-              c->edge = p.edge;
-              c->estimated_cardinality = p.estimated_cardinality;
-              c->cost = p.cost;
-              if (p.left) c->left = clone(*p.left);
-              if (p.right) c->right = clone(*p.right);
-              return c;
-            };
-        node->left = clone(*probe->plan);
-        node->right = clone(*build->plan);
-        best.plan = std::move(node);
-        best.cost = cost;
-        best.card = subset_card;
-        best.valid = true;
+        best = {subset_card, cost, true, probe, build, cut_edge};
       }
     }
   }
 
-  if (!dp[full].valid) {
-    return Status::InvalidArgument("query join graph is not connected");
-  }
-  return std::move(dp[full].plan);
+  // A spanning tree joins every connected subset, the full set included.
+  AUTOCE_CHECK(dp[full].valid);
+  return BuildPlan(dp, full, tables);
 }
 
 }  // namespace autoce::engine

@@ -69,10 +69,10 @@ class JoinOrderOptimizer {
  public:
   JoinOrderOptimizer(const data::Dataset* dataset, CostModel cost_model = {});
 
-  /// Builds the cheapest plan for `q` under `card_fn`. The query's join
-  /// graph must be a connected tree (|joins| == |tables| - 1, all
-  /// reachable); non-trees surface `InvalidArgument`, matching
-  /// `TrueCardinality` / `JoinSampler` rejection behavior.
+  /// Builds the cheapest plan for `q` under `card_fn`. The query's joins
+  /// must be a spanning tree of its tables; otherwise `CheckJoinTree`'s
+  /// `InvalidArgument` surfaces, as from `TrueCardinality` and
+  /// `JoinSampler`.
   Result<std::unique_ptr<PlanNode>> Optimize(const query::Query& q,
                                              const CardinalityFn& card_fn);
 

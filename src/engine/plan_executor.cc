@@ -17,6 +17,81 @@ namespace {
 /// in PostgreSQL (paper Table V discussion).
 constexpr double kIndexScanSelectivity = 0.05;
 
+/// A hash join's build tuples grouped by join key. A flat open-addressing
+/// table (linear probing over a power of two of at least 2n slots) maps
+/// each distinct key to a group, and a counting sort stores each group's
+/// tuples together in build order, so a probe emits its matches in the
+/// order the build side holds them.
+class KeyGroups {
+ public:
+  /// Groups build tuples 0..n-1, whose keys are `values[rows[i]]`.
+  KeyGroups(const std::vector<int32_t>& values, const int32_t* rows,
+            size_t n) {
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * n) ++bits;
+    slots_.assign(size_t{1} << bits, Slot{0, -1});
+    shift_ = 64 - bits;
+    start_.reserve(n + 1);
+    std::vector<int32_t> group(n);
+    for (size_t i = 0; i < n; ++i) {
+      const int32_t key = values[static_cast<size_t>(rows[i])];
+      Slot& slot = slots_[Find(key)];
+      if (slot.group < 0) {
+        slot = {key, static_cast<int32_t>(start_.size())};
+        start_.push_back(0);
+      }
+      group[i] = slot.group;
+      ++start_[static_cast<size_t>(slot.group)];
+    }
+    // Counting sort: turn counts into group end offsets, then place the
+    // tuples last to first, which leaves each offset at its group's start
+    // and each group in build order.
+    for (size_t g = 1; g < start_.size(); ++g) start_[g] += start_[g - 1];
+    tuples_.resize(n);
+    for (size_t i = n; i-- > 0;) {
+      tuples_[static_cast<size_t>(--start_[static_cast<size_t>(group[i])])] =
+          static_cast<int32_t>(i);
+    }
+    start_.push_back(static_cast<int32_t>(n));
+  }
+
+  /// Group of `key`, or -1 when no build tuple has it.
+  int32_t Group(int32_t key) const { return slots_[Find(key)].group; }
+
+  /// Build tuples of group `g`, in build order.
+  const int32_t* begin(int32_t g) const {
+    return tuples_.data() + start_[static_cast<size_t>(g)];
+  }
+  const int32_t* end(int32_t g) const {
+    return tuples_.data() + start_[static_cast<size_t>(g) + 1];
+  }
+  int32_t size(int32_t g) const {
+    return start_[static_cast<size_t>(g) + 1] - start_[static_cast<size_t>(g)];
+  }
+
+ private:
+  struct Slot {
+    int32_t key;
+    int32_t group;  ///< -1: empty
+  };
+
+  /// Slot holding `key`, or the empty slot ending its probe sequence.
+  /// Fibonacci hashing spreads dense codes.
+  size_t Find(int32_t key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(
+        (static_cast<uint64_t>(static_cast<uint32_t>(key)) *
+         0x9E3779B97F4A7C15ULL) >> shift_);
+    while (slots_[i].group >= 0 && slots_[i].key != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 0;
+  std::vector<int32_t> start_;   ///< group g: tuples_[start_[g], start_[g+1])
+  std::vector<int32_t> tuples_;  ///< build tuple ids, grouped by key
+};
+
 }  // namespace
 
 PlanExecutor::PlanExecutor(const data::Dataset* dataset, ExecOptions opts)
@@ -46,7 +121,6 @@ PlanExecutor::Intermediate PlanExecutor::ExecuteScan(const query::Query& q,
 
   Intermediate out;
   out.tables = {t};
-  out.row_ids.resize(1);
 
   double rows = static_cast<double>(table.NumRows());
   bool use_index =
@@ -54,9 +128,12 @@ PlanExecutor::Intermediate PlanExecutor::ExecuteScan(const query::Query& q,
       node.estimated_cardinality <
           kIndexScanSelectivity * rows;
 
-  if (use_index) {
+  if (!use_index) {
+    out.row_ids = FilterRows(table, preds);
+  } else if (preds[0].lo <= preds[0].hi) {
     // Index scan: range-probe the first predicate's index, then verify
-    // the remaining predicates on the candidates.
+    // the remaining predicates on the candidates. An empty range (lo >
+    // hi) matches nothing, and its upper bound lies before its lower.
     const auto& pred = preds[0];
     const auto& idx = Index(t, pred.column);
     auto lo_it = std::lower_bound(
@@ -76,18 +153,17 @@ PlanExecutor::Intermediate PlanExecutor::ExecuteScan(const query::Query& q,
           break;
         }
       }
-      if (ok) out.row_ids[0].push_back(r);
+      if (ok) out.row_ids.push_back(r);
     }
-    std::sort(out.row_ids[0].begin(), out.row_ids[0].end());
-  } else {
-    out.row_ids[0] = FilterRows(table, preds);
+    std::sort(out.row_ids.begin(), out.row_ids.end());
   }
+  out.num_tuples = static_cast<int64_t>(out.row_ids.size());
   return out;
 }
 
 PlanExecutor::Intermediate PlanExecutor::ExecuteHashJoin(
-    const PlanNode& node, Intermediate probe, Intermediate build,
-    bool* aborted) {
+    const PlanNode& node, const Intermediate& probe,
+    const Intermediate& build, bool* aborted) {
   // Locate the key column on each side.
   auto side_of = [&](const Intermediate& inter, int table) {
     for (size_t i = 0; i < inter.tables.size(); ++i) {
@@ -117,41 +193,56 @@ PlanExecutor::Intermediate PlanExecutor::ExecuteHashJoin(
           .columns[static_cast<size_t>(build_col)]
           .values;
 
-  // Build phase.
-  std::unordered_map<int32_t, std::vector<int32_t>> ht;
-  int64_t build_n = build.NumTuples();
-  ht.reserve(static_cast<size_t>(build_n));
-  for (int32_t i = 0; i < build_n; ++i) {
-    int32_t row =
-        build.row_ids[static_cast<size_t>(build_pos)][static_cast<size_t>(i)];
-    ht[build_values[static_cast<size_t>(row)]].push_back(i);
-  }
+  const KeyGroups groups(build_values,
+                         build.column(static_cast<size_t>(build_pos)),
+                         static_cast<size_t>(build.num_tuples));
 
-  // Probe phase.
   Intermediate out;
   out.tables = probe.tables;
   out.tables.insert(out.tables.end(), build.tables.begin(),
                     build.tables.end());
-  out.row_ids.resize(out.tables.size());
 
-  int64_t probe_n = probe.NumTuples();
-  for (int32_t i = 0; i < probe_n; ++i) {
-    int32_t row =
-        probe.row_ids[static_cast<size_t>(probe_pos)][static_cast<size_t>(i)];
-    auto it = ht.find(probe_values[static_cast<size_t>(row)]);
-    if (it == ht.end()) continue;
-    for (int32_t bi : it->second) {
-      for (size_t c = 0; c < probe.row_ids.size(); ++c) {
-        out.row_ids[c].push_back(probe.row_ids[c][static_cast<size_t>(i)]);
-      }
-      for (size_t c = 0; c < build.row_ids.size(); ++c) {
-        out.row_ids[probe.row_ids.size() + c].push_back(
-            build.row_ids[c][static_cast<size_t>(bi)]);
-      }
-    }
-    if (out.NumTuples() > opts_.max_intermediate_rows) {
+  // Count first: each probe tuple that matches, with its group. The cap
+  // is checked after every such tuple, so it trips at the same probe
+  // tuple, with the same partial count, as materializing tuple by tuple.
+  struct Hit {
+    size_t tuple;
+    int32_t group;
+  };
+  const size_t probe_n = static_cast<size_t>(probe.num_tuples);
+  std::vector<Hit> hits;
+  hits.reserve(probe_n);
+  const int32_t* probe_rows = probe.column(static_cast<size_t>(probe_pos));
+  for (size_t i = 0; i < probe_n; ++i) {
+    int32_t g =
+        groups.Group(probe_values[static_cast<size_t>(probe_rows[i])]);
+    if (g < 0) continue;
+    hits.push_back({i, g});
+    out.num_tuples += groups.size(g);
+    if (out.num_tuples > opts_.max_intermediate_rows) {
       *aborted = true;
       return out;
+    }
+  }
+
+  // Fill exact-size columns, one at a time: a probe tuple repeats once
+  // per match, and its matches follow in build order.
+  out.row_ids.resize(out.tables.size() *
+                     static_cast<size_t>(out.num_tuples));
+  int32_t* dst = out.row_ids.data();
+  for (size_t c = 0; c < probe.tables.size(); ++c) {
+    const int32_t* src = probe.column(c);
+    for (const Hit& h : hits) {
+      dst = std::fill_n(dst, groups.size(h.group), src[h.tuple]);
+    }
+  }
+  for (size_t c = 0; c < build.tables.size(); ++c) {
+    const int32_t* src = build.column(c);
+    for (const Hit& h : hits) {
+      for (const int32_t* t = groups.begin(h.group); t != groups.end(h.group);
+           ++t) {
+        *dst++ = src[static_cast<size_t>(*t)];
+      }
     }
   }
   return out;
@@ -160,23 +251,21 @@ PlanExecutor::Intermediate PlanExecutor::ExecuteHashJoin(
 PlanExecutor::Intermediate PlanExecutor::ExecuteNode(const query::Query& q,
                                                      const PlanNode& node,
                                                      bool* aborted) {
+  Intermediate out;
   if (node.kind == PlanNode::Kind::kScan) {
-    Intermediate out = ExecuteScan(q, node);
-    if (observer_) {
-      observer_(JoinOrderOptimizer::SubQuery(q, out.tables), out.NumTuples());
-    }
-    return out;
+    out = ExecuteScan(q, node);
+  } else {
+    Intermediate probe = ExecuteNode(q, *node.left, aborted);
+    if (*aborted) return probe;
+    Intermediate build = ExecuteNode(q, *node.right, aborted);
+    if (*aborted) return build;
+    out = ExecuteHashJoin(node, probe, build, aborted);
+    if (*aborted) return out;
   }
-  Intermediate probe = ExecuteNode(q, *node.left, aborted);
-  if (*aborted) return probe;
-  Intermediate build = ExecuteNode(q, *node.right, aborted);
-  if (*aborted) return build;
-  Intermediate out =
-      ExecuteHashJoin(node, std::move(probe), std::move(build), aborted);
-  if (!*aborted && observer_) {
+  if (observer_) {
     std::vector<int> tables = out.tables;
     std::sort(tables.begin(), tables.end());
-    observer_(JoinOrderOptimizer::SubQuery(q, tables), out.NumTuples());
+    observer_(JoinOrderOptimizer::SubQuery(q, tables), out.num_tuples);
   }
   return out;
 }
@@ -187,7 +276,7 @@ ExecutionResult PlanExecutor::Execute(const query::Query& q,
   bool aborted = false;
   Intermediate result = ExecuteNode(q, plan, &aborted);
   ExecutionResult out;
-  out.output_rows = result.NumTuples();
+  out.output_rows = result.num_tuples;
   out.seconds = timer.ElapsedSeconds();
   out.completed = !aborted;
   return out;

@@ -36,8 +36,9 @@ struct ExecOptions {
 
 /// \brief Executes physical plans for real: filtered scans (sequential or
 /// index-assisted, chosen by the plan's *estimated* cardinalities) and
-/// hash joins materializing row-id tuples. Wall-clock time of `Execute`
-/// is the end-to-end running-time measurement of the paper's Table V.
+/// hash joins materializing row-id tuples (DESIGN.md §5.17). Wall-clock
+/// time of `Execute` is the end-to-end running-time measurement of the
+/// paper's Table V.
 class PlanExecutor {
  public:
   explicit PlanExecutor(const data::Dataset* dataset, ExecOptions opts = {});
@@ -53,21 +54,23 @@ class PlanExecutor {
   }
 
  private:
-  /// Intermediate result: parallel row-id vectors, one per joined table.
+  /// Intermediate result: one row-id column per joined table, stored
+  /// one after another in `row_ids`. A join cut short by the cap keeps
+  /// only its partial tuple count.
   struct Intermediate {
-    std::vector<int> tables;                       // table ids
-    std::vector<std::vector<int32_t>> row_ids;     // [table][tuple]
-    int64_t NumTuples() const {
-      return row_ids.empty() ? 0
-                             : static_cast<int64_t>(row_ids[0].size());
+    std::vector<int> tables;       // table ids
+    std::vector<int32_t> row_ids;  // [table * num_tuples + tuple]
+    int64_t num_tuples = 0;
+    const int32_t* column(size_t i) const {
+      return row_ids.data() + i * static_cast<size_t>(num_tuples);
     }
   };
 
   Intermediate ExecuteNode(const query::Query& q, const PlanNode& node,
                            bool* aborted);
   Intermediate ExecuteScan(const query::Query& q, const PlanNode& node);
-  Intermediate ExecuteHashJoin(const PlanNode& node, Intermediate probe,
-                               Intermediate build, bool* aborted);
+  Intermediate ExecuteHashJoin(const PlanNode& node, const Intermediate& probe,
+                               const Intermediate& build, bool* aborted);
 
   /// Sorted (value, row) index for one column, built lazily.
   const std::vector<std::pair<int32_t, int32_t>>& Index(int table, int column);

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "ce/testbed.h"
 #include "data/generator.h"
+#include "obs/metrics.h"
+#include "util/fault.h"
 
 namespace autoce::ce {
 namespace {
@@ -68,6 +73,68 @@ TEST(QErrorMetricTest, DeterministicLabelsWithEmulatedLatency) {
     EXPECT_DOUBLE_EQ(a->models[m].qerror.mean, b->models[m].qerror.mean);
     EXPECT_DOUBLE_EQ(a->models[m].latency_mean_ms,
                      b->models[m].latency_mean_ms);
+  }
+}
+
+TEST(TestbedTelemetryTest, PerModelTimingsFollowTheRegistry) {
+  // Cells run on worker threads, which record histograms but open no
+  // spans: one training sample per attempt and one inference sample per
+  // trained cell, keyed by perfbench's model names, only while metrics
+  // are on, and recording changes no label. Injected training faults
+  // make some cells retry.
+  Rng rng(5);
+  data::DatasetGenParams p;
+  p.min_tables = p.max_tables = 2;
+  p.min_rows = p.max_rows = 300;
+  data::Dataset ds = data::GenerateDataset(p, &rng);
+  TestbedConfig cfg;
+  cfg.num_train_queries = 30;
+  cfg.num_test_queries = 20;
+
+  auto& reg = obs::MetricsRegistry::Instance();
+  auto count = [&](const char* name, ModelId id) {
+    std::string key = ModelName(id);
+    for (char& c : key) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    return reg.GetHistogram(name, {{"model", key}})->Snapshot().count;
+  };
+  ASSERT_TRUE(util::FaultInjection::Instance()
+                  .Configure("ce.testbed.train:0.5", 11)
+                  .ok());
+  reg.Reset();
+  reg.Disable();
+  auto off = RunTestbed(ds, cfg);
+  for (ModelId id : AllModels()) {
+    EXPECT_EQ(count("testbed.train_ms", id), 0);
+    EXPECT_EQ(count("testbed.infer_ms", id), 0);
+  }
+  reg.Enable();
+  auto on = RunTestbed(ds, cfg);
+  reg.Disable();
+  util::FaultInjection::Instance().Disable();
+  ASSERT_TRUE(off.ok() && on.ok());
+
+  int64_t train_samples = 0;
+  for (const ModelPerformance& m : on->models) {
+    int64_t trains = count("testbed.train_ms", m.id);
+    EXPECT_GE(trains, 1) << ModelName(m.id);
+    EXPECT_LE(trains, kTestbedMaxAttempts) << ModelName(m.id);
+    EXPECT_EQ(count("testbed.infer_ms", m.id), m.trained_ok ? 1 : 0)
+        << ModelName(m.id);
+    train_samples += trains;
+  }
+  const int64_t retries = reg.GetCounter("testbed.cell_retries")->value();
+  EXPECT_GT(retries, 0);
+  EXPECT_EQ(train_samples, reg.GetCounter("testbed.cells")->value() + retries);
+  reg.Reset();
+
+  ASSERT_EQ(off->models.size(), on->models.size());
+  for (size_t m = 0; m < on->models.size(); ++m) {
+    EXPECT_EQ(off->models[m].trained_ok, on->models[m].trained_ok);
+    EXPECT_EQ(off->models[m].qerror.mean, on->models[m].qerror.mean);
+    EXPECT_EQ(off->models[m].qerror.p99, on->models[m].qerror.p99);
+    EXPECT_EQ(off->models[m].latency_mean_ms, on->models[m].latency_mean_ms);
   }
 }
 

@@ -80,8 +80,6 @@ TEST(FilterTest, MaskAndRows) {
   c.values = {1, 5, 7, 3, 9};
   t.columns.push_back(c);
   Predicate p{0, 0, PredOp::kRange, 3, 7};
-  auto mask = FilterMask(t, {p});
-  EXPECT_EQ(mask, (std::vector<char>{0, 1, 1, 1, 0}));
   auto rows = FilterRows(t, {p});
   EXPECT_EQ(rows, (std::vector<int32_t>{1, 2, 3}));
   EXPECT_EQ(SingleTableCardinality(t, {p}), 3);
@@ -124,6 +122,23 @@ TEST(TrueCardinalityTest, RejectsNonTreeJoinGraph) {
   q.joins = {};  // missing joins -> not a tree
   auto r = TrueCardinality(ds, q);
   EXPECT_FALSE(r.ok());
+
+  // |joins| == |tables| - 1 is not enough. Here fk[0] is 2.3 -> 1.0 and
+  // fk[1] is 0.5 -> 1.0.
+  Rng rng5(5);
+  p.min_rows = 200;
+  p.max_rows = 300;
+  Dataset ds5 = data::GenerateDataset(p, &rng5);
+  const auto& fks = ds5.foreign_keys();
+  ASSERT_EQ(fks.size(), 2u);
+  Query repeated;  // one join twice: table 0 is never joined
+  repeated.tables = {0, 1, 2};
+  repeated.joins = {fks[0], fks[0]};
+  EXPECT_FALSE(TrueCardinality(ds5, repeated).ok());
+  Query outside;  // the only join reaches table 0, which is not queried
+  outside.tables = {2, 1};
+  outside.joins = {fks[1]};
+  EXPECT_FALSE(TrueCardinality(ds5, outside).ok());
 }
 
 class TreeCountMatchesBruteForce

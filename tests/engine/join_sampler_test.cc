@@ -128,6 +128,18 @@ TEST(JoinSamplerTest, RejectsNonTree) {
   data::Dataset ds = data::GenerateDataset(p, &rng);
   auto bad = JoinSampler::Create(&ds, {0, 1}, {});  // missing edge
   EXPECT_FALSE(bad.ok());
+
+  // |joins| == |tables| - 1 is not enough. Here fk[0] is 2.3 -> 1.0 and
+  // fk[1] is 0.5 -> 1.0.
+  Rng rng5(5);
+  p.min_tables = p.max_tables = 3;
+  p.min_rows = 200;
+  p.max_rows = 300;
+  data::Dataset ds5 = data::GenerateDataset(p, &rng5);
+  const auto& fks = ds5.foreign_keys();
+  ASSERT_EQ(fks.size(), 2u);
+  EXPECT_FALSE(JoinSampler::Create(&ds5, {0, 1, 2}, {fks[0], fks[0]}).ok());
+  EXPECT_FALSE(JoinSampler::Create(&ds5, {2, 1}, {fks[1]}).ok());
 }
 
 TEST(JoinSamplerTest, EmptyJoinYieldsEmptySamples) {
