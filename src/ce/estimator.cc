@@ -48,18 +48,6 @@ ModelTrainingScale ModelTrainingScale::Fast() {
   return s;
 }
 
-ModelTrainingScale ModelTrainingScale::Full() {
-  ModelTrainingScale s;
-  s.epochs = 20;
-  s.hidden = 64;
-  s.progressive_samples = 200;
-  s.join_sample_rows = 5000;
-  s.gbdt_trees = 80;
-  s.spn_min_slice = 200;
-  s.bn_max_bins = 32;
-  return s;
-}
-
 std::unique_ptr<CardinalityEstimator> CreateModel(
     ModelId id, const ModelTrainingScale& scale) {
   switch (id) {

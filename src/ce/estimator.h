@@ -74,9 +74,8 @@ class CardinalityEstimator {
   virtual void SeedInference(uint64_t /*seed*/) {}
 };
 
-/// Knobs shared by the model factory. `fast` presets shrink network and
-/// sampling sizes so the testbed can label whole corpora; `full` matches
-/// the paper's scales more closely.
+/// Knobs shared by the model factory. The `Fast` preset shrinks network
+/// and sampling sizes so the testbed can label whole corpora.
 struct ModelTrainingScale {
   int epochs = 12;
   int hidden = 32;
@@ -87,7 +86,6 @@ struct ModelTrainingScale {
   int bn_max_bins = 24;           // BayesCard CPT resolution
 
   static ModelTrainingScale Fast();
-  static ModelTrainingScale Full();
 };
 
 /// Creates an untrained model instance.

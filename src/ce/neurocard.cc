@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <utility>
 
 #include "engine/executor.h"
 #include "engine/join_sampler.h"
@@ -198,28 +200,37 @@ AutoregressiveModel::BatchOutcome AutoregressiveModel::SampleBatch(
 
   BatchOutcome out{count, count * per_sample, false};
   std::vector<double> weight(count, 1.0);
-  std::vector<double> masked;
-  nn::Matrix ctx(count, d, 0.0);  // row s: sample s's context
-  // Column 0's context is zero for every sample, so one row serves all.
-  const nn::Matrix zero_ctx(1, d, 0.0);
+  // Samples that drew the same bins so far have the same context, so each
+  // distinct prefix is one row of ctx: sample s's is row prefix[s]. Every
+  // sample starts from the empty prefix, whose context is zero.
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  nn::Matrix ctx(1, d, 0.0);
+  std::vector<size_t> prefix(count, 0);
+  std::vector<double> cdf;
+  std::vector<size_t> child;                     // (row, bin) -> next row
+  std::vector<std::pair<size_t, size_t>> born;  // next row -> (row, bin)
+  const size_t final_col = std::min(last, per_sample);
   size_t rows = count;  // samples [0, rows) still advance
-  for (size_t c = 0; c <= std::min(last, per_sample) && rows > 0; ++c) {
-    if (ctx.rows() > rows) ctx = ctx.SubRows(0, rows);
-    const nn::Matrix& context = c == 0 ? zero_ctx : ctx;
-    nn::Matrix probs = nn::Softmax(Logits(c, context, nullptr, nullptr));
-    int bins = columns_[c].num_bins;
-    size_t stride = c == 0 ? 0 : static_cast<size_t>(bins);
-    masked.resize(static_cast<size_t>(bins));
+  for (size_t c = 0; c <= final_col && rows > 0; ++c) {
+    nn::Matrix probs = nn::Softmax(Logits(c, ctx, nullptr, nullptr));
+    const size_t bins = static_cast<size_t>(columns_[c].num_bins);
+    const bool masked = constrained[c];
+    // Running sums of each prefix's distribution, masked by the interval
+    // on a constrained column: the last one is the interval's mass.
+    cdf.resize(ctx.rows() * bins);
+    for (size_t g = 0; g < ctx.rows(); ++g) {
+      double acc = 0.0;
+      for (size_t b = 0; b < bins; ++b) {
+        acc += masked ? probs(g, b) * coverage[c][b] : probs(g, b);
+        cdf[g * bins + b] = acc;
+      }
+    }
+    child.assign(ctx.rows() * bins, kNone);
+    born.clear();
     for (size_t s = 0; s < rows; ++s) {
-      const double* dist = probs.data() + s * stride;
-      double mass = 1.0;
-      if (constrained[c]) {
-        mass = 0.0;
-        for (int b = 0; b < bins; ++b) {
-          size_t i = static_cast<size_t>(b);
-          masked[i] = dist[i] * coverage[c][i];
-          mass += masked[i];
-        }
+      const double* sums = cdf.data() + prefix[s] * bins;
+      double mass = sums[bins - 1];
+      if (masked) {
         weight[s] *= mass;
         if (mass <= 0.0) {
           weight[s] = 0.0;
@@ -230,7 +241,6 @@ AutoregressiveModel::BatchOutcome AutoregressiveModel::SampleBatch(
           rows = s;
           break;
         }
-        dist = masked.data();
       }
       if (c == per_sample) {
         // Needs a draw it was not given: rerun s and the samples after it.
@@ -238,22 +248,30 @@ AutoregressiveModel::BatchOutcome AutoregressiveModel::SampleBatch(
         rows = s;
         break;
       }
+      if (c == final_col) continue;  // no later column reads its bin
       double u = draws[s * per_sample + c];
-      if (constrained[c]) u *= mass;
-      double acc = 0.0;
-      int chosen = -1;
-      for (int b = 0; b < bins; ++b) {
-        acc += dist[static_cast<size_t>(b)];
-        if (acc >= u) {
-          chosen = b;
-          break;
-        }
+      if (masked) u *= mass;
+      size_t chosen = static_cast<size_t>(
+          std::find_if(sums, sums + bins, [u](double a) { return a >= u; }) -
+          sums);
+      if (chosen == bins) chosen = bins - 1;
+      size_t& next = child[prefix[s] * bins + chosen];
+      if (next == kNone) {
+        next = born.size();
+        born.emplace_back(prefix[s], chosen);
       }
-      if (chosen < 0) chosen = bins - 1;
+      prefix[s] = next;
+    }
+    if (c == final_col) break;
+    // A prefix's context is its parent's plus its last bin's embedding.
+    nn::Matrix next_ctx(born.size(), d);
+    for (size_t r = 0; r < born.size(); ++r) {
       for (size_t k = 0; k < d; ++k) {
-        ctx(s, k) += embeddings_[c](static_cast<size_t>(chosen), k);
+        next_ctx(r, k) =
+            ctx(born[r].first, k) + embeddings_[c](born[r].second, k);
       }
     }
+    ctx = std::move(next_ctx);
   }
   weights->insert(weights->end(), weight.begin(),
                   weight.begin() + static_cast<std::ptrdiff_t>(out.kept));

@@ -56,7 +56,8 @@ class AutoregressiveModel {
   /// `lo[i]`, `hi[i]` give the allowed coded interval per column (use the
   /// full domain for unconstrained columns); `constrained[i]` marks the
   /// queried columns. `num_samples` controls the accuracy/latency
-  /// trade-off. The samples advance column by column as one batch; the
+  /// trade-off. The samples advance column by column as one batch, with
+  /// one network evaluation per distinct prefix of drawn bins; the
   /// estimate and the uniforms drawn from `rng` are those of sampling one
   /// sample at a time (DESIGN.md §5.16).
   double EstimateSelectivity(const std::vector<int32_t>& lo,
@@ -80,8 +81,9 @@ class AutoregressiveModel {
   };
 
   /// Advances `count` samples together over columns
-  /// [0, min(last, per_sample)], drawing `per_sample` uniforms for each
-  /// from `rng` in sample-major order. Cuts the batch at the first sample
+  /// [0, min(last, per_sample)], one context row per distinct prefix of
+  /// drawn bins, drawing `per_sample` uniforms for each sample from `rng`
+  /// in sample-major order. Cuts the batch at the first sample
   /// that needs fewer or more draws than `per_sample` and appends the
   /// weights of the samples before it (and of it, if it stopped early) to
   /// `weights`.

@@ -129,7 +129,6 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
     Timer train_timer;
     Status st = model->Train(cell_ctx);
     const double train_s = train_timer.ElapsedSeconds();
-    perf->train_seconds += train_s;
     cell_metrics.train_ms[static_cast<size_t>(id)]->Observe(1e3 * train_s);
     if (st.ok() &&
         util::FaultPoint(util::fault_sites::kTestbedTrain,
@@ -202,7 +201,6 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
       post_qerrors.push_back(QError(est, result.post_cards[i]));
     }
     post_perf->id = id;
-    post_perf->train_seconds = perf->train_seconds;
     post_perf->latency_mean_ms = perf->latency_mean_ms;
     post_perf->qerror = SummarizeQErrors(post_qerrors);
     post_perf->qerror.mean =

@@ -63,7 +63,6 @@ struct ModelPerformance {
   ModelId id = ModelId::kMscn;
   QErrorSummary qerror;
   double latency_mean_ms = 0.0;  ///< mean per-query inference latency
-  double train_seconds = 0.0;
   bool trained_ok = false;
   /// Populated when !trained_ok; downstream consumers
   /// (`advisor::MakeLabel`) substitute the sentinel worst-normalized

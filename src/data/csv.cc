@@ -281,8 +281,12 @@ Result<Dataset> LoadDataset(const std::string& path) {
       col.domain_size = static_cast<int32_t>(r.ReadI64());
       uint64_t rows = r.ReadU64();
       if (!r.status().ok()) return r.status();
+      // Each value takes 4 bytes, so the file bounds the count.
+      if (rows > r.remaining() / 4) {
+        return Status::DataLoss("column row count exceeds the file (corrupt file)");
+      }
       col.values.reserve(rows);
-      for (uint64_t i = 0; i < rows; ++i) {
+      for (uint64_t i = 0; i < rows && r.status().ok(); ++i) {
         col.values.push_back(static_cast<int32_t>(r.ReadU32()));
       }
       table.columns.push_back(std::move(col));
@@ -306,6 +310,7 @@ Result<Dataset> LoadDataset(const std::string& path) {
     ds.set_base_fingerprint(r.ReadU64());
   }
   if (!r.status().ok()) return r.status();
+  AUTOCE_RETURN_NOT_OK(ds.Validate());
   return ds;
 }
 

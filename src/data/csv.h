@@ -70,7 +70,8 @@ Status SaveCsvTable(const Table& table, const std::string& path,
 
 /// Binary round-trip of whole datasets (schema + data + FK edges), used
 /// by the CLI to pass corpora between `generate`, `label`, and
-/// `recommend` steps.
+/// `recommend` steps. `LoadDataset` returns an error for a truncated or
+/// corrupt file and for a dataset `Dataset::Validate` rejects.
 Status SaveDataset(const Dataset& dataset, const std::string& path);
 Result<Dataset> LoadDataset(const std::string& path);
 

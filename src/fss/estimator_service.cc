@@ -247,12 +247,6 @@ Status EstimatorService::CommitKnowledge() {
   return Status::OK();
 }
 
-void EstimatorService::InstallModel(
-    std::unique_ptr<ce::CardinalityEstimator> model) {
-  std::lock_guard<std::mutex> lock(model_mu_);
-  model_ = std::move(model);
-}
-
 void EstimatorService::ClearCache() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);

@@ -131,9 +131,6 @@ class EstimatorService : public engine::CardinalitySource {
   /// untouched and in-memory knowledge is kept.
   Status CommitKnowledge();
 
-  /// Replaces the hosted model (hot swap; null degrades to histogram).
-  void InstallModel(std::unique_ptr<ce::CardinalityEstimator> model);
-
   /// Clears the estimate cache (knowledge is kept).
   void ClearCache();
 
@@ -180,6 +177,8 @@ class EstimatorService : public engine::CardinalitySource {
   engine::PostgresStyleEstimator histogram_;
   std::optional<util::SnapshotStore> store_;  ///< nullopt = in-memory only
 
+  /// Serializes model calls: a model's inference reseeds and advances
+  /// its own sampling state.
   mutable std::mutex model_mu_;
   std::unique_ptr<ce::CardinalityEstimator> model_;  // guarded by model_mu_
 

@@ -37,19 +37,6 @@ Result<std::unique_ptr<AdvisorServer>> AdvisorServer::Open(
   return server;
 }
 
-Status AdvisorServer::AttachStore(const std::string& dir,
-                                  util::SnapshotStoreOptions options) {
-  // Probe the store once so a bad directory fails here, not at the
-  // first Reload.
-  AUTOCE_ASSIGN_OR_RETURN(util::SnapshotStore store,
-                          util::SnapshotStore::Open(dir, options));
-  (void)store;
-  std::lock_guard<std::mutex> lock(mu_);
-  store_dir_ = dir;
-  store_options_ = options;
-  return Status::OK();
-}
-
 const AdvisorServer::CacheEntry* AdvisorServer::CacheLookup(uint64_t key) {
   auto it = cache_.find(key);
   if (it == cache_.end()) return nullptr;
@@ -270,7 +257,7 @@ Status AdvisorServer::Reload() {
     std::lock_guard<std::mutex> lock(mu_);
     if (store_dir_.empty()) {
       Status status = Status::FailedPrecondition(
-          "no snapshot store attached (Open or AttachStore first)");
+          "no snapshot store attached (open the server with Open)");
       counters_.reload_failures.Add();
       last_reload_error_ = status.message();
       return status;

@@ -117,8 +117,8 @@ struct ServerStats {
 /// advisor (construction, Reload) and compared at every batch.
 class AdvisorServer {
  public:
-  /// Wraps a fitted advisor. `Reload` requires AttachStore afterwards;
-  /// `config.max_batch` must be >= 1.
+  /// Wraps a fitted advisor with no snapshot store, so `Reload` fails;
+  /// `Open` attaches one. `config.max_batch` must be >= 1.
   explicit AdvisorServer(advisor::AutoCe advisor, ServerConfig config = {});
 
   AdvisorServer(const AdvisorServer&) = delete;
@@ -131,11 +131,6 @@ class AdvisorServer {
   static Result<std::unique_ptr<AdvisorServer>> Open(
       const std::string& dir, ServerConfig config = {},
       util::SnapshotStoreOptions options = {});
-
-  /// Attaches the snapshot store at `dir` so Reload can pull newer
-  /// generations.
-  Status AttachStore(const std::string& dir,
-                     util::SnapshotStoreOptions options = {});
 
   /// Serves a burst of requests: admission in arrival order, batched
   /// embedding, indexed KNN. Responses are returned in request order.

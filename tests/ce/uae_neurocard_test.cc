@@ -353,6 +353,117 @@ TEST(AutoregressiveModelTest, StoppedSamplesArePinned) {
   EXPECT_EQ(DrawsBetween(before, stream), 3 * 48);
 }
 
+// Trains the AR core on columns of the given domains, with values drawn
+// uniformly from each domain.
+AutoregressiveModel TrainUniformModel(const std::vector<int32_t>& domains,
+                                      uint64_t seed) {
+  AutoregressiveModel model;
+  AutoregressiveModel::Params params;
+  params.epochs = 2;
+  params.hidden = 8;
+  Rng rng(seed);
+  std::vector<AutoregressiveModel::ColumnSpec> cols(domains.size());
+  for (size_t c = 0; c < domains.size(); ++c) {
+    cols[c].table = 0;
+    cols[c].column = static_cast<int>(c);
+    cols[c].domain = domains[c];
+  }
+  model.Init(cols, params, &rng);
+  std::vector<std::vector<int32_t>> rows(200);
+  for (auto& row : rows) {
+    for (int32_t domain : domains) {
+      row.push_back(static_cast<int32_t>(rng.UniformInt(1, domain)));
+    }
+  }
+  model.Train(rows);
+  return model;
+}
+
+// Progressive sampling evaluates each distinct prefix of drawn bins once
+// (DESIGN.md §5.16). The pins below were taken from the loop that ran one
+// context row per sample; each test sets up one regime of prefix sharing.
+
+TEST(AutoregressiveModelTest, OneBinColumnsShareOnePrefixAndArePinned) {
+  // A one-bin column leaves every sample on the same prefix, so all
+  // samples share one context row up to the wide column 3.
+  AutoregressiveModel model = TrainUniformModel({1, 1, 1, 40}, 21);
+  uint64_t h = kFnvBasis;
+  Rng stream(22);
+  for (int samples : {1, 5, 48}) {
+    Rng before = stream;
+    h = Fold(h, model.EstimateSelectivity({1, 1, 1, 5}, {1, 1, 1, 20},
+                                          {1, 0, 1, 1}, samples, &stream));
+    EXPECT_EQ(DrawsBetween(before, stream), 4 * samples);
+    h = Fold(h, model.EstimateSelectivity({1, 1, 1, 1}, {1, 1, 1, 40},
+                                          {0, 1, 0, 0}, samples, &stream));
+    h = Fold(h, stream.Uniform());
+  }
+  EXPECT_EQ(h, 0x828DE7AD38E4542CULL);
+}
+
+TEST(AutoregressiveModelTest, DistinctPrefixesArePinned) {
+  // Few samples over 32-bin columns: past column 0, no two samples of a
+  // batch drew the same bins, so every prefix is its own context row.
+  AutoregressiveModel model = TrainUniformModel({32, 32, 32, 32}, 23);
+  uint64_t h = kFnvBasis;
+  Rng stream(24);
+  for (int samples : {2, 3, 4}) {
+    Rng before = stream;
+    h = Fold(h, model.EstimateSelectivity({1, 1, 1, 9}, {32, 32, 32, 24},
+                                          {0, 0, 0, 1}, samples, &stream));
+    EXPECT_EQ(DrawsBetween(before, stream), 4 * samples);
+    h = Fold(h, stream.Uniform());
+  }
+  EXPECT_EQ(h, 0xD45E4CEB07ED715DULL);
+}
+
+TEST(AutoregressiveModelTest, EarlyStopInsideASharedPrefixIsPinned) {
+  // The over-confident copy model stops every sample that drew 32 on
+  // column 0 at column 1. The first such sample cuts the batch: its
+  // prefix's later members are batched again, and so are the later
+  // members of the prefix that drew 1, whose earlier members go on to
+  // column 2.
+  AutoregressiveModel model = TrainCopyModel(2, 1.0);
+  uint64_t h = kFnvBasis;
+  Rng stream(25);
+  for (int samples : {6, 16, 40}) {
+    Rng before = stream;
+    double est =
+        model.EstimateSelectivity({1, 1, 1}, {32, 1, 16}, {0, 1, 1}, samples,
+                                  &stream);
+    int draws = DrawsBetween(before, stream);
+    EXPECT_GT(draws, samples);
+    EXPECT_LT(draws, 3 * samples);
+    EXPECT_GT(est, 0.0);
+    h = Fold(Fold(h, est), stream.Uniform());
+  }
+  EXPECT_EQ(h, 0xDAF29F0EE521EC94ULL);
+}
+
+TEST(AutoregressiveModelTest, NanOverrunRerunIsPinned) {
+  // A diverged model's NaN mass does not stop a sample where every sample
+  // was expected to stop (column 0 below, then column 2), so each one
+  // reruns alone with one draw per column up to the last constrained one.
+  AutoregressiveModel diverged = TrainCopyModel(2, 1e300);
+  AutoregressiveModel sane = TrainCopyModel(2, 0.01);
+  uint64_t h = kFnvBasis;
+  Rng stream(26);
+  for (int samples : {1, 9}) {
+    Rng before = stream;
+    EXPECT_TRUE(std::isnan(diverged.EstimateSelectivity(
+        {3, 1, 1}, {2, 32, 16}, {1, 0, 1}, samples, &stream)));
+    EXPECT_EQ(DrawsBetween(before, stream), 3 * samples);
+    before = stream;
+    EXPECT_TRUE(std::isnan(diverged.EstimateSelectivity(
+        {1, 1, 3}, {32, 32, 2}, {0, 0, 1}, samples, &stream)));
+    EXPECT_EQ(DrawsBetween(before, stream), 3 * samples);
+    // The stream is where the one-at-a-time loop left it.
+    h = Fold(h, sane.EstimateSelectivity({1, 1, 1}, {16, 32, 16}, {1, 0, 1},
+                                         samples, &stream));
+  }
+  EXPECT_EQ(h, 0x5DEBBEC8C61EBA1AULL);
+}
+
 TEST(NeuroCardTest, JoinSizeCacheKeepsTablesPast31Apart) {
   // Table ids past 31 must get their own join-size cache entries: a
   // 32-bit table mask would shift table 33 onto table 1's bit and answer

@@ -228,5 +228,65 @@ TEST(DatasetSerdeTest, RejectsGarbage) {
   std::remove(path.c_str());
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(DatasetSerdeTest, CorruptRowCountIsDataLoss) {
+  // A flipped high bit in a column's row count must not size an
+  // allocation: it once aborted the load with bad_alloc (bit 40) or
+  // length_error (bit 63).
+  Rng rng(3);
+  DatasetGenParams p;
+  p.min_tables = p.max_tables = 2;
+  p.min_rows = p.max_rows = 50;
+  Dataset ds = GenerateDataset(p, &rng);
+  std::string path = TempPath("rows.adat");
+  ASSERT_TRUE(SaveDataset(ds, path).ok());
+  const std::string bytes = ReadFile(path);
+  // Little-endian layout up to table 0's first row count: magic, version,
+  // dataset name, table count, table name, primary key, column count,
+  // column name, domain.
+  size_t at = 4 + 4 + (8 + ds.name().size()) + 8 +
+              (8 + ds.table(0).name.size()) + 8 + 8 +
+              (8 + ds.table(0).columns[0].name.size()) + 8;
+  ASSERT_LE(at + 8, bytes.size());
+  ASSERT_EQ(static_cast<unsigned char>(bytes[at]), 50u);
+  for (int bit : {40, 63}) {
+    std::string corrupt = bytes;
+    corrupt[at + static_cast<size_t>(bit / 8)] ^=
+        static_cast<char>(1 << (bit % 8));
+    WriteFile(path, corrupt);
+    auto loaded = LoadDataset(path);
+    ASSERT_FALSE(loaded.ok()) << "bit " << bit;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << "bit " << bit;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DatasetSerdeTest, RaggedTableIsRejected) {
+  // The engine indexes a join-key column by row ids up to column 0's
+  // length, so a key column shorter than column 0 must not load.
+  Rng rng(4);
+  DatasetGenParams p;
+  p.min_tables = p.max_tables = 2;
+  p.min_rows = p.max_rows = 10;
+  Dataset ds = GenerateDataset(p, &rng);
+  ASSERT_EQ(ds.foreign_keys().size(), 1u);
+  const ForeignKey fk = ds.foreign_keys()[0];
+  ASSERT_GT(fk.fk_column, 0);
+  ds.mutable_table(fk.fk_table)
+      ->columns[static_cast<size_t>(fk.fk_column)]
+      .values.resize(5);
+  ASSERT_FALSE(ds.Validate().ok());
+  std::string path = TempPath("ragged.adat");
+  ASSERT_TRUE(SaveDataset(ds, path).ok());
+  auto loaded = LoadDataset(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace autoce::data

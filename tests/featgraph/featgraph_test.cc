@@ -219,9 +219,9 @@ TEST(FeatureGraphTest, ExtractIsPinned) {
 }
 
 TEST(FeatureGraphTest, ColumnsOfUnequalLengthArePinned) {
-  // LoadDataset does not Validate, so a crafted .adat can hold a table
-  // whose columns differ in length. The lengths interleave, so a block
-  // of adjacent columns would mix them and read past a short column.
+  // Extract takes any dataset, validated or not, so a table's columns
+  // can differ in length. The lengths interleave, so a block of adjacent
+  // columns would mix them and read past a short column.
   data::Table t;
   t.name = "ragged";
   Rng rng(31);
