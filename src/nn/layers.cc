@@ -141,12 +141,4 @@ std::vector<Matrix*> Mlp::Grads() {
   return out;
 }
 
-size_t Mlp::NumParameters() const {
-  size_t n = 0;
-  for (const auto& layer : layers_) {
-    n += layer.weight().size() + layer.weight().cols();
-  }
-  return n;
-}
-
 }  // namespace autoce::nn

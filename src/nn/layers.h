@@ -88,9 +88,6 @@ class Mlp {
   std::vector<Matrix*> Params();
   std::vector<Matrix*> Grads();
 
-  /// Total number of scalar parameters.
-  size_t NumParameters() const;
-
  private:
   std::vector<Linear> layers_;
   Activation hidden_act_;

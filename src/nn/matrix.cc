@@ -82,29 +82,9 @@ Matrix Matrix::MatMulTranspose(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  }
-  return out;
-}
-
 Matrix& Matrix::AddInPlace(const Matrix& other) {
   AUTOCE_CHECK(SameShape(other));
   simd::AddInPlace(data_.data(), other.data(), data_.size());
-  return *this;
-}
-
-Matrix& Matrix::SubInPlace(const Matrix& other) {
-  AUTOCE_CHECK(SameShape(other));
-  simd::SubInPlace(data_.data(), other.data(), data_.size());
-  return *this;
-}
-
-Matrix& Matrix::MulInPlace(const Matrix& other) {
-  AUTOCE_CHECK(SameShape(other));
-  simd::MulInPlace(data_.data(), other.data(), data_.size());
   return *this;
 }
 
@@ -136,10 +116,6 @@ void Matrix::Zero() {
 
 double Matrix::Norm() const {
   return std::sqrt(simd::ReduceSqSum(data_.data(), data_.size()));
-}
-
-double Matrix::Sum() const {
-  return simd::ReduceSum(data_.data(), data_.size());
 }
 
 double SquaredL2(std::span<const double> a, std::span<const double> b) {

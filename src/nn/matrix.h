@@ -88,12 +88,8 @@ class Matrix {
   /// this * other^T.
   Matrix MatMulTranspose(const Matrix& other) const;
 
-  Matrix Transposed() const;
-
   /// Elementwise operations (shapes must match).
   Matrix& AddInPlace(const Matrix& other);
-  Matrix& SubInPlace(const Matrix& other);
-  Matrix& MulInPlace(const Matrix& other);  // Hadamard
   Matrix& ScaleInPlace(double s);
 
   /// Adds `row` (1 x cols) to every row; broadcast bias add.
@@ -107,9 +103,6 @@ class Matrix {
 
   /// Frobenius norm.
   double Norm() const;
-
-  /// Sum of all elements.
-  double Sum() const;
 
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;

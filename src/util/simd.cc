@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -127,12 +128,6 @@ void DotNorms(const double* a, const double* b, size_t n, double* dot,
   *norm_b = (lb[0] + lb[2]) + (lb[1] + lb[3]);
 }
 
-double ReduceSum(const double* x, size_t n) {
-  double lane[kReduceLanes] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t i = 0; i < n; ++i) lane[i & 3] += x[i];
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
 double ReduceSqSum(const double* x, size_t n) {
   double lane[kReduceLanes] = {0.0, 0.0, 0.0, 0.0};
   for (size_t i = 0; i < n; ++i) {
@@ -147,14 +142,6 @@ void Axpy(double alpha, const double* x, double* y, size_t n) {
 
 void AddInPlace(double* y, const double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += x[i];
-}
-
-void SubInPlace(double* y, const double* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] -= x[i];
-}
-
-void MulInPlace(double* y, const double* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] *= x[i];
 }
 
 void ScaleInPlace(double* y, double s, size_t n) {
@@ -307,16 +294,6 @@ AUTOCE_TARGET_AVX2 void DotNorms(const double* a, const double* b, size_t n,
   *norm_b = (lb[0] + lb[2]) + (lb[1] + lb[3]);
 }
 
-AUTOCE_TARGET_AVX2 double ReduceSum(const double* x, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (; i < n; ++i) lane[i & 3] += x[i];
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
 AUTOCE_TARGET_AVX2 double ReduceSqSum(const double* x, size_t n) {
   __m256d acc = _mm256_setzero_pd();
   size_t i = 0;
@@ -330,47 +307,74 @@ AUTOCE_TARGET_AVX2 double ReduceSqSum(const double* x, size_t n) {
   return (lane[0] + lane[2]) + (lane[1] + lane[3]);
 }
 
-/// C = op(A) * B panels: 4 output rows x 8 output columns per register
-/// tile (8 fma chains in flight); edge tiles fall through to the scalar
-/// block, whose per-element chains are bit-identical by construction.
+/// One R x 8 tile of C = op(A) * B, R = sizeof...(Rows), with `a` at the
+/// tile's first row, `b` at its first column and `c` at its first
+/// element. Two ymm accumulators per row give 2R independent fma chains.
+/// Every statement over the rows is a pack expansion, unrolled in the
+/// source rather than by the optimizer, so each accumulator index is a
+/// constant and the accumulators stay in registers at -O2 as at -O3
+/// (DESIGN.md §5.10). Each element is one ascending-k fma chain from
+/// zero: the scalar block's bits.
+template <size_t... Rows>
+AUTOCE_TARGET_AVX2 inline void GemmTile(std::index_sequence<Rows...>,
+                                        const double* a, size_t a_i_stride,
+                                        size_t a_k_stride, const double* b,
+                                        double* c, size_t k, size_t n) {
+  __m256d lo[] = {(static_cast<void>(Rows), _mm256_setzero_pd())...};
+  __m256d hi[] = {(static_cast<void>(Rows), _mm256_setzero_pd())...};
+  for (size_t kk = 0; kk < k; ++kk, a += a_k_stride, b += n) {
+    const __m256d b0 = _mm256_loadu_pd(b);
+    const __m256d b1 = _mm256_loadu_pd(b + 4);
+    __m256d ar;
+    ((ar = _mm256_set1_pd(a[Rows * a_i_stride]),
+      lo[Rows] = _mm256_fmadd_pd(ar, b0, lo[Rows]),
+      hi[Rows] = _mm256_fmadd_pd(ar, b1, hi[Rows])),
+     ...);
+  }
+  ((_mm256_storeu_pd(c + Rows * n, lo[Rows]),
+    _mm256_storeu_pd(c + Rows * n + 4, hi[Rows])),
+   ...);
+}
+
+/// Rows i0..i0+R-1 of C = op(A) * B: R-row tiles over the 8-column
+/// panels, then the n mod 8 tail columns through the scalar block.
+template <size_t R>
+AUTOCE_TARGET_AVX2 inline void GemmRowPanel(const double* a, size_t a_i_stride,
+                                            size_t a_k_stride, const double* b,
+                                            double* c, size_t i0, size_t k,
+                                            size_t n) {
+  const size_t n8 = n - n % 8;
+  for (size_t j0 = 0; j0 < n8; j0 += 8) {
+    GemmTile(std::make_index_sequence<R>(), a + i0 * a_i_stride, a_i_stride,
+             a_k_stride, b + j0, c + i0 * n + j0, k, n);
+  }
+  if (n8 < n) {
+    scalar::GemmBlock(a, a_i_stride, a_k_stride, b, c, k, n, i0, i0 + R, n8,
+                      n);
+  }
+}
+
+/// C = op(A) * B: 4-row panels, then a 2- or 3-row panel for the m mod 4
+/// leftover rows. A single leftover row runs the scalar block (DESIGN.md
+/// §5.10); its per-element chains are bit-identical by construction.
 AUTOCE_TARGET_AVX2 void GemmPanels(const double* a, size_t a_i_stride,
                                    size_t a_k_stride, const double* b,
                                    double* c, size_t m, size_t k, size_t n) {
   std::memset(c, 0, m * n * sizeof(double));
-  const size_t m4 = m - m % 4;
-  const size_t n8 = n - n % 8;
-  for (size_t i0 = 0; i0 < m4; i0 += 4) {
-    for (size_t j0 = 0; j0 < n8; j0 += 8) {
-      __m256d acc[4][2];
-      for (int r = 0; r < 4; ++r) {
-        acc[r][0] = _mm256_setzero_pd();
-        acc[r][1] = _mm256_setzero_pd();
-      }
-      for (size_t kk = 0; kk < k; ++kk) {
-        const double* brow = b + kk * n + j0;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        for (int r = 0; r < 4; ++r) {
-          const __m256d ar = _mm256_set1_pd(
-              a[(i0 + static_cast<size_t>(r)) * a_i_stride +
-                kk * a_k_stride]);
-          acc[r][0] = _mm256_fmadd_pd(ar, b0, acc[r][0]);
-          acc[r][1] = _mm256_fmadd_pd(ar, b1, acc[r][1]);
-        }
-      }
-      for (int r = 0; r < 4; ++r) {
-        double* crow = c + (i0 + static_cast<size_t>(r)) * n + j0;
-        _mm256_storeu_pd(crow, acc[r][0]);
-        _mm256_storeu_pd(crow + 4, acc[r][1]);
-      }
-    }
-    if (n8 < n) {
-      scalar::GemmBlock(a, a_i_stride, a_k_stride, b, c, k, n, i0, i0 + 4, n8,
-                        n);
-    }
+  size_t i0 = 0;
+  for (; i0 + 4 <= m; i0 += 4) {
+    GemmRowPanel<4>(a, a_i_stride, a_k_stride, b, c, i0, k, n);
   }
-  if (m4 < m) {
-    scalar::GemmBlock(a, a_i_stride, a_k_stride, b, c, k, n, m4, m, 0, n);
+  switch (m - i0) {
+    case 3:
+      GemmRowPanel<3>(a, a_i_stride, a_k_stride, b, c, i0, k, n);
+      break;
+    case 2:
+      GemmRowPanel<2>(a, a_i_stride, a_k_stride, b, c, i0, k, n);
+      break;
+    case 1:
+      scalar::GemmBlock(a, a_i_stride, a_k_stride, b, c, k, n, i0, m, 0, n);
+      break;
   }
 }
 
@@ -410,24 +414,6 @@ AUTOCE_TARGET_AVX2 void AddInPlace(double* y, const double* x, size_t n) {
         y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
   }
   for (; i < n; ++i) y[i] += x[i];
-}
-
-AUTOCE_TARGET_AVX2 void SubInPlace(double* y, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] -= x[i];
-}
-
-AUTOCE_TARGET_AVX2 void MulInPlace(double* y, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_mul_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] *= x[i];
 }
 
 AUTOCE_TARGET_AVX2 void ScaleInPlace(double* y, double s, size_t n) {
@@ -686,20 +672,6 @@ void DotNorms(const double* a, const double* b, size_t n, double* dot,
   *norm_b = (lb[0] + lb[2]) + (lb[1] + lb[3]);
 }
 
-double ReduceSum(const double* x, size_t n) {
-  float64x2_t acc_a = vdupq_n_f64(0.0);
-  float64x2_t acc_b = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc_a = vaddq_f64(acc_a, vld1q_f64(x + i));
-    acc_b = vaddq_f64(acc_b, vld1q_f64(x + i + 2));
-  }
-  double lane[4] = {vgetq_lane_f64(acc_a, 0), vgetq_lane_f64(acc_a, 1),
-                    vgetq_lane_f64(acc_b, 0), vgetq_lane_f64(acc_b, 1)};
-  for (; i < n; ++i) lane[i & 3] += x[i];
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
 double ReduceSqSum(const double* x, size_t n) {
   float64x2_t acc_a = vdupq_n_f64(0.0);
   float64x2_t acc_b = vdupq_n_f64(0.0);
@@ -790,22 +762,6 @@ void AddInPlace(double* y, const double* x, size_t n) {
   for (; i < n; ++i) y[i] += x[i];
 }
 
-void SubInPlace(double* y, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i, vsubq_f64(vld1q_f64(y + i), vld1q_f64(x + i)));
-  }
-  for (; i < n; ++i) y[i] -= x[i];
-}
-
-void MulInPlace(double* y, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i, vmulq_f64(vld1q_f64(y + i), vld1q_f64(x + i)));
-  }
-  for (; i < n; ++i) y[i] *= x[i];
-}
-
 void ScaleInPlace(double* y, double s, size_t n) {
   size_t i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -861,12 +817,9 @@ struct Kernels {
   double (*squared_l2)(const double*, const double*, size_t);
   void (*dot_norms)(const double*, const double*, size_t, double*, double*,
                     double*);
-  double (*reduce_sum)(const double*, size_t);
   double (*reduce_sq_sum)(const double*, size_t);
   void (*axpy)(double, const double*, double*, size_t);
   void (*add_in_place)(double*, const double*, size_t);
-  void (*sub_in_place)(double*, const double*, size_t);
-  void (*mul_in_place)(double*, const double*, size_t);
   void (*scale_in_place)(double*, double, size_t);
   void (*relu_in_place)(double*, size_t);
   void (*relu_backward)(const double*, double*, size_t);
@@ -883,9 +836,8 @@ struct Kernels {
 constexpr Kernels kScalarTable = {
     Level::kScalar,       scalar::MatMul,       scalar::MatMulTN,
     scalar::MatMulNT,     scalar::Dot,          scalar::SquaredL2,
-    scalar::DotNorms,     scalar::ReduceSum,    scalar::ReduceSqSum,
-    scalar::Axpy,         scalar::AddInPlace,   scalar::SubInPlace,
-    scalar::MulInPlace,   scalar::ScaleInPlace, scalar::ReluInPlace,
+    scalar::DotNorms,     scalar::ReduceSqSum,  scalar::Axpy,
+    scalar::AddInPlace,   scalar::ScaleInPlace, scalar::ReluInPlace,
     scalar::ReluBackward, scalar::SumMinMaxI32, scalar::CountEqualI32,
     scalar::ColumnLaneSquaredDeviations,
     scalar::ColumnLaneStandardizedPowers,
@@ -895,9 +847,8 @@ constexpr Kernels kScalarTable = {
 constexpr Kernels kAvx2Table = {
     Level::kAvx2,         avx2::MatMul,         avx2::MatMulTN,
     avx2::MatMulNT,       avx2::Dot,            avx2::SquaredL2,
-    avx2::DotNorms,       avx2::ReduceSum,      avx2::ReduceSqSum,
-    avx2::Axpy,           avx2::AddInPlace,     avx2::SubInPlace,
-    avx2::MulInPlace,     avx2::ScaleInPlace,   avx2::ReluInPlace,
+    avx2::DotNorms,       avx2::ReduceSqSum,    avx2::Axpy,
+    avx2::AddInPlace,     avx2::ScaleInPlace,   avx2::ReluInPlace,
     avx2::ReluBackward,   avx2::SumMinMaxI32,   avx2::CountEqualI32,
     avx2::ColumnLaneSquaredDeviations,
     avx2::ColumnLaneStandardizedPowers,
@@ -908,9 +859,8 @@ constexpr Kernels kAvx2Table = {
 constexpr Kernels kNeonTable = {
     Level::kNeon,         neon::MatMul,         neon::MatMulTN,
     neon::MatMulNT,       neon::Dot,            neon::SquaredL2,
-    neon::DotNorms,       neon::ReduceSum,      neon::ReduceSqSum,
-    neon::Axpy,           neon::AddInPlace,     neon::SubInPlace,
-    neon::MulInPlace,     neon::ScaleInPlace,   neon::ReluInPlace,
+    neon::DotNorms,       neon::ReduceSqSum,    neon::Axpy,
+    neon::AddInPlace,     neon::ScaleInPlace,   neon::ReluInPlace,
     neon::ReluBackward,
     // The integer and column-lane kernels have no NEON path yet (none
     // has been tested on aarch64); their scalar reference gives the
@@ -1089,8 +1039,6 @@ void DotNorms(const double* a, const double* b, size_t n, double* dot,
   Active().dot_norms(a, b, n, dot, norm_a, norm_b);
 }
 
-double ReduceSum(const double* x, size_t n) { return Active().reduce_sum(x, n); }
-
 double ReduceSqSum(const double* x, size_t n) {
   return Active().reduce_sq_sum(x, n);
 }
@@ -1101,14 +1049,6 @@ void Axpy(double alpha, const double* x, double* y, size_t n) {
 
 void AddInPlace(double* y, const double* x, size_t n) {
   Active().add_in_place(y, x, n);
-}
-
-void SubInPlace(double* y, const double* x, size_t n) {
-  Active().sub_in_place(y, x, n);
-}
-
-void MulInPlace(double* y, const double* x, size_t n) {
-  Active().mul_in_place(y, x, n);
 }
 
 void ScaleInPlace(double* y, double s, size_t n) {

@@ -23,7 +23,7 @@ namespace autoce::util::simd {
 ///   accumulation chain per *output element*, walked in ascending k.
 ///   Vector lanes hold distinct output elements, so the vector width
 ///   never touches any chain's order.
-/// * Reduction kernels (Dot, SquaredL2, ReduceSum, ...) use exactly
+/// * Reduction kernels (Dot, SquaredL2, ReduceSqSum, ...) use exactly
 ///   kReduceLanes = 4 accumulator lanes: element k joins lane (k mod 4)
 ///   in ascending k, and the lanes combine in the fixed tree
 ///   (l0 + l2) + (l1 + l3). AVX2 holds the four lanes in one register,
@@ -107,9 +107,6 @@ double SquaredL2(const double* a, const double* b, size_t n);
 void DotNorms(const double* a, const double* b, size_t n, double* dot,
               double* norm_a, double* norm_b);
 
-/// sum_k x[k] (plain adds, 4-lane tree).
-double ReduceSum(const double* x, size_t n);
-
 /// sum_k x[k]^2 (fma, 4-lane tree).
 double ReduceSqSum(const double* x, size_t n);
 
@@ -121,12 +118,6 @@ void Axpy(double alpha, const double* x, double* y, size_t n);
 
 /// y[i] += x[i].
 void AddInPlace(double* y, const double* x, size_t n);
-
-/// y[i] -= x[i].
-void SubInPlace(double* y, const double* x, size_t n);
-
-/// y[i] *= x[i].
-void MulInPlace(double* y, const double* x, size_t n);
 
 /// y[i] *= s.
 void ScaleInPlace(double* y, double s, size_t n);

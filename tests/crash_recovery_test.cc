@@ -148,7 +148,9 @@ TEST_P(KillPointSweepTest, RepeatedKillsStillConvergeToBaseline) {
 INSTANTIATE_TEST_SUITE_P(Threads, KillPointSweepTest,
                          ::testing::Values(1, 8),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(CrashRecoveryTest, PlainFitKilledAtFirstCheckpointRestarts) {

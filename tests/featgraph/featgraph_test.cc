@@ -228,8 +228,9 @@ TEST(FeatureGraphTest, ColumnsOfUnequalLengthArePinned) {
   for (size_t n : {40, 7, 40, 40, 7, 40, 0, 40, 3, 7}) {
     std::vector<int32_t> values(n);
     for (int32_t& v : values) v = static_cast<int32_t>(rng.UniformInt(1, 50));
-    t.columns.push_back(data::Column{"c" + std::to_string(t.columns.size()),
-                                     50, std::move(values)});
+    std::string name = "c";
+    name += std::to_string(t.columns.size());
+    t.columns.push_back(data::Column{std::move(name), 50, std::move(values)});
   }
   data::Dataset ds("ragged");
   ds.AddTable(std::move(t));

@@ -192,7 +192,9 @@ TEST(MlpTest, NumParameters) {
   Rng rng(19);
   Mlp mlp({3, 5, 2}, Activation::kRelu, Activation::kIdentity, &rng);
   // (3*5 + 5) + (5*2 + 2) = 20 + 12 = 32.
-  EXPECT_EQ(mlp.NumParameters(), 32u);
+  size_t scalars = 0;
+  for (const Matrix* p : mlp.Params()) scalars += p->size();
+  EXPECT_EQ(scalars, 32u);
 }
 
 }  // namespace

@@ -8,6 +8,15 @@
 namespace autoce::nn {
 namespace {
 
+/// The explicit transpose the product kernels are checked against.
+Matrix Transposed(const Matrix& m) {
+  Matrix out(m.cols(), m.rows());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) out(c, r) = m(r, c);
+  }
+  return out;
+}
+
 TEST(MatrixTest, ConstructAndIndex) {
   Matrix m(2, 3, 1.5);
   EXPECT_EQ(m.rows(), 2u);
@@ -39,7 +48,7 @@ TEST(MatrixTest, TransposeMatMulMatchesExplicit) {
   Matrix a = Matrix::Xavier(4, 3, &rng);
   Matrix b = Matrix::Xavier(4, 5, &rng);
   Matrix lhs = a.TransposeMatMul(b);
-  Matrix rhs = a.Transposed().MatMul(b);
+  Matrix rhs = Transposed(a).MatMul(b);
   ASSERT_TRUE(lhs.SameShape(rhs));
   for (size_t i = 0; i < lhs.size(); ++i) {
     EXPECT_NEAR(lhs.data()[i], rhs.data()[i], 1e-12);
@@ -51,7 +60,7 @@ TEST(MatrixTest, MatMulTransposeMatchesExplicit) {
   Matrix a = Matrix::Xavier(4, 3, &rng);
   Matrix b = Matrix::Xavier(5, 3, &rng);
   Matrix lhs = a.MatMulTranspose(b);
-  Matrix rhs = a.MatMul(b.Transposed());
+  Matrix rhs = a.MatMul(Transposed(b));
   ASSERT_TRUE(lhs.SameShape(rhs));
   for (size_t i = 0; i < lhs.size(); ++i) {
     EXPECT_NEAR(lhs.data()[i], rhs.data()[i], 1e-12);
@@ -63,12 +72,8 @@ TEST(MatrixTest, ElementwiseOps) {
   Matrix b = Matrix::FromRows({{10, 20}, {30, 40}});
   a.AddInPlace(b);
   EXPECT_DOUBLE_EQ(a(1, 1), 44.0);
-  a.SubInPlace(b);
-  EXPECT_DOUBLE_EQ(a(1, 1), 4.0);
-  a.MulInPlace(b);
-  EXPECT_DOUBLE_EQ(a(0, 0), 10.0);
   a.ScaleInPlace(0.5);
-  EXPECT_DOUBLE_EQ(a(0, 0), 5.0);
+  EXPECT_DOUBLE_EQ(a(0, 0), 5.5);
 }
 
 TEST(MatrixTest, AddRowBroadcastAndColSum) {
@@ -91,10 +96,9 @@ TEST(MatrixTest, RowAccessors) {
   EXPECT_DOUBLE_EQ(a(0, 2), 9.0);
 }
 
-TEST(MatrixTest, NormAndSum) {
+TEST(MatrixTest, Norm) {
   Matrix a = Matrix::FromRows({{3, 4}});
   EXPECT_DOUBLE_EQ(a.Norm(), 5.0);
-  EXPECT_DOUBLE_EQ(a.Sum(), 7.0);
 }
 
 TEST(MatrixTest, XavierWithinLimits) {
@@ -162,8 +166,8 @@ TEST(MatrixTest, TiledMatMulMatchesReferenceOnOddShapes) {
       }
     }
     // The transpose kernels must agree with explicit transposition.
-    Matrix t1 = a.Transposed().TransposeMatMul(b);
-    Matrix t2 = a.MatMulTranspose(b.Transposed());
+    Matrix t1 = Transposed(a).TransposeMatMul(b);
+    Matrix t2 = a.MatMulTranspose(Transposed(b));
     for (size_t i = 0; i < m; ++i) {
       for (size_t j = 0; j < n; ++j) {
         EXPECT_NEAR(t1(i, j), c(i, j), 1e-12);

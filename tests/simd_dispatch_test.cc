@@ -82,6 +82,33 @@ std::vector<std::vector<double>> RandomPoints(size_t n, size_t dim,
   return pts;
 }
 
+/// Calls fn(m, k, n) for every edge a GEMM kernel can take: rows 1-9
+/// (full 4-row tiles and 1-, 2- and 3-row leftovers), depths 1, 2, 7
+/// and 33, and columns 1-17 (full 8-column tiles and every column tail).
+template <typename Fn>
+void ForEachGemmEdgeShape(Fn&& fn) {
+  for (size_t m = 1; m <= 9; ++m) {
+    for (size_t k : {size_t{1}, size_t{2}, size_t{7}, size_t{33}}) {
+      for (size_t n = 1; n <= 17; ++n) fn(m, k, n);
+    }
+  }
+}
+
+/// A * B, A^T * B and A * B^T at the active level, concatenated, with
+/// Gaussian operands drawn from a generator seeded by the shape.
+std::vector<double> GemmEdgeProducts(size_t m, size_t k, size_t n) {
+  Rng rng((m * 100 + k) * 100 + n);
+  std::vector<double> a(m * k), at(k * m), b(k * n), bt(n * k);
+  for (std::vector<double>* v : {&a, &at, &b, &bt}) {
+    for (double& x : *v) x = rng.Gaussian();
+  }
+  std::vector<double> out(3 * m * n);
+  simd::MatMul(a.data(), b.data(), out.data(), m, k, n);
+  simd::MatMulTN(at.data(), b.data(), out.data() + m * n, k, m, n);
+  simd::MatMulNT(a.data(), bt.data(), out.data() + 2 * m * n, m, k, n);
+  return out;
+}
+
 void ExpectSameNeighborBits(const std::vector<knn::Neighbor>& a,
                             const std::vector<knn::Neighbor>& b,
                             const char* what) {
@@ -141,6 +168,24 @@ TEST_P(SimdDispatchSweep, MatrixProductsByteIdenticalAcrossLevels) {
           << simd::LevelName(SweepLevels()[i]);
     }
   }
+}
+
+TEST_P(SimdDispatchSweep, GemmEdgeShapesByteIdenticalAcrossLevels) {
+  ForEachGemmEdgeShape([](size_t m, size_t k, size_t n) {
+    std::vector<double> want;
+    AtLevel(simd::Level::kScalar, [&] { want = GemmEdgeProducts(m, k, n); });
+    for (simd::Level level : SweepLevels()) {
+      AtLevel(level, [&] {
+        const std::vector<double> got = GemmEdgeProducts(m, k, n);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << m << "x" << k << "x" << n << " level "
+            << simd::LevelName(level);
+      });
+    }
+  });
 }
 
 TEST_P(SimdDispatchSweep, EmbedBatchDigestInvariant) {
@@ -306,6 +351,20 @@ TEST(SimdDispatchTest, ScalarReferenceOrderPinned) {
       });
     }
   }
+}
+
+TEST(SimdDispatchTest, GemmEdgeShapesArePinned) {
+  // The scalar reference's bits over every edge shape; the sweep above
+  // holds every other level to them.
+  std::vector<double> all;
+  AtLevel(simd::Level::kScalar, [&] {
+    ForEachGemmEdgeShape([&](size_t m, size_t k, size_t n) {
+      const std::vector<double> products = GemmEdgeProducts(m, k, n);
+      all.insert(all.end(), products.begin(), products.end());
+    });
+  });
+  EXPECT_EQ(all.size(), 82620u);
+  EXPECT_EQ(Digest(all), 0x0e13b441dec52500ULL);
 }
 
 TEST(SimdDispatchTest, DispatchPlumbing) {

@@ -258,7 +258,9 @@ TEST(SnapshotStoreTest, LoadLatestSurvivesConcurrentKeepOneGc) {
     }
   });
   for (int i = 0; i < 150; ++i) {
-    auto gen = writer->Commit(MakeSections("g" + std::to_string(i)));
+    std::string payload = "g";
+    payload += std::to_string(i);
+    auto gen = writer->Commit(MakeSections(payload));
     ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   }
   done.store(true);
