@@ -20,11 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "adapt/drift_feedback.h"
 #include "adapt/pipeline.h"
-#include "adapt/soak.h"
 #include "bench/common.h"
-#include "dyn/drift_label.h"
+#include "bench/support/drift_feedback.h"
+#include "bench/support/drift_label.h"
+#include "bench/support/soak.h"
 #include "dyn/mutation.h"
 #include "dyn/regime.h"
 #include "engine/executor.h"
@@ -32,7 +32,6 @@
 #include "engine/plan_executor.h"
 #include "fss/estimator_service.h"
 #include "serve/server.h"
-#include "util/chaos.h"
 #include "util/fault.h"
 #include "util/snapshot.h"
 
@@ -425,7 +424,7 @@ int Run() {
   char digest_hex[32];
   std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
                 static_cast<unsigned long long>(at8.digest));
-  manifest.AddInt("chaos_seed", static_cast<int64_t>(util::ActiveChaosSeed()))
+  manifest.AddInt("chaos_seed", static_cast<int64_t>(kSeed))
       .AddInt("num_regimes", static_cast<int64_t>(at8.rows.size()))
       .AddInt("regime_axes", dyn::kNumRegimeAxes)
       .AddInt("drift_epochs", label_cfg.epochs)

@@ -24,9 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "adapt/soak.h"
 #include "bench/common.h"
-#include "util/chaos.h"
+#include "bench/support/chaos.h"
+#include "bench/support/soak.h"
 #include "util/fault.h"
 #include "util/snapshot.h"
 
@@ -216,7 +216,7 @@ int main() {
   label_sweep += "]";
   deadline_sweep += "]";
 
-  manifest.AddInt("chaos_seed", static_cast<int64_t>(util::ActiveChaosSeed()))
+  manifest.AddInt("chaos_seed", static_cast<int64_t>(main_config.seed))
       .AddInt("ticks", static_cast<int64_t>(main_config.ticks))
       .AddInt("kills", static_cast<int64_t>(soak->kills))
       .AddInt("max_concurrent_sites", soak->max_concurrent_sites)

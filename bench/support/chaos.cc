@@ -1,9 +1,7 @@
-#include "util/chaos.h"
+#include "bench/support/chaos.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/rng.h"
 
@@ -177,29 +175,6 @@ Result<ChaosSchedule> GenerateChaosSchedule(
     std::sort(schedule.kill_ticks.begin(), schedule.kill_ticks.end());
   }
   return schedule;
-}
-
-namespace {
-std::atomic<uint64_t> g_chaos_seed{0};
-std::atomic<bool> g_chaos_seed_set{false};
-}  // namespace
-
-uint64_t ActiveChaosSeed() {
-  if (!g_chaos_seed_set.load(std::memory_order_acquire)) {
-    uint64_t seed = 0;
-    if (const char* s = std::getenv("AUTOCE_CHAOS_SEED")) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(s, &end, 10);
-      if (end != s && *end == '\0') seed = v;
-    }
-    SetActiveChaosSeed(seed);
-  }
-  return g_chaos_seed.load(std::memory_order_relaxed);
-}
-
-void SetActiveChaosSeed(uint64_t seed) {
-  g_chaos_seed.store(seed, std::memory_order_relaxed);
-  g_chaos_seed_set.store(true, std::memory_order_release);
 }
 
 }  // namespace autoce::util

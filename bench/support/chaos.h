@@ -1,5 +1,5 @@
-#ifndef AUTOCE_UTIL_CHAOS_H_
-#define AUTOCE_UTIL_CHAOS_H_
+#ifndef AUTOCE_BENCH_SUPPORT_CHAOS_H_
+#define AUTOCE_BENCH_SUPPORT_CHAOS_H_
 
 #include <cstdint>
 #include <string>
@@ -85,14 +85,6 @@ struct ChaosSchedule {
 /// inverted bounds, probabilities outside (0, 1]).
 Result<ChaosSchedule> GenerateChaosSchedule(const ChaosScheduleConfig& config);
 
-/// \brief Process-wide record of the active chaos seed, reported by
-/// `autoce version` and run manifests so a soak run is reproducible
-/// from its manifest alone. Reads `AUTOCE_CHAOS_SEED` on first use;
-/// `SetActiveChaosSeed` (the soak driver) overrides it.
-/// Returns 0 when no chaos schedule is active.
-uint64_t ActiveChaosSeed();
-void SetActiveChaosSeed(uint64_t seed);
-
 }  // namespace autoce::util
 
-#endif  // AUTOCE_UTIL_CHAOS_H_
+#endif  // AUTOCE_BENCH_SUPPORT_CHAOS_H_

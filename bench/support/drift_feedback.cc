@@ -1,4 +1,4 @@
-#include "adapt/drift_feedback.h"
+#include "bench/support/drift_feedback.h"
 
 #include "obs/metrics.h"
 #include "util/logging.h"

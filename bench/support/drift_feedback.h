@@ -1,5 +1,5 @@
-#ifndef AUTOCE_ADAPT_DRIFT_FEEDBACK_H_
-#define AUTOCE_ADAPT_DRIFT_FEEDBACK_H_
+#ifndef AUTOCE_BENCH_SUPPORT_DRIFT_FEEDBACK_H_
+#define AUTOCE_BENCH_SUPPORT_DRIFT_FEEDBACK_H_
 
 #include "adapt/pipeline.h"
 #include "data/dataset.h"
@@ -32,4 +32,4 @@ void UnbindDriftFeedback(fss::EstimatorService* service);
 
 }  // namespace autoce::adapt
 
-#endif  // AUTOCE_ADAPT_DRIFT_FEEDBACK_H_
+#endif  // AUTOCE_BENCH_SUPPORT_DRIFT_FEEDBACK_H_

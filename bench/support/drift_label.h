@@ -1,5 +1,5 @@
-#ifndef AUTOCE_DYN_DRIFT_LABEL_H_
-#define AUTOCE_DYN_DRIFT_LABEL_H_
+#ifndef AUTOCE_BENCH_SUPPORT_DRIFT_LABEL_H_
+#define AUTOCE_BENCH_SUPPORT_DRIFT_LABEL_H_
 
 #include <vector>
 
@@ -77,4 +77,4 @@ DriftLabeledCorpus LabelCorpusUnderDrift(std::vector<RegimeDataset> corpus,
 
 }  // namespace autoce::dyn
 
-#endif  // AUTOCE_DYN_DRIFT_LABEL_H_
+#endif  // AUTOCE_BENCH_SUPPORT_DRIFT_LABEL_H_

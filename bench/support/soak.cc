@@ -1,4 +1,4 @@
-#include "adapt/soak.h"
+#include "bench/support/soak.h"
 
 #include <atomic>
 #include <cstdio>
@@ -181,7 +181,6 @@ Result<SoakReport> RunSoakImpl(const SoakConfig& config) {
   }
   auto schedule = util::GenerateChaosSchedule(chaos);
   if (!schedule.ok()) return schedule.status();
-  util::SetActiveChaosSeed(config.seed);
 
   // Self-setup: an empty store gets the reference fitted advisor
   // (faults stay disabled — chaos targets the loop, not its genesis).

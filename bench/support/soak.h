@@ -1,11 +1,11 @@
-#ifndef AUTOCE_ADAPT_SOAK_H_
-#define AUTOCE_ADAPT_SOAK_H_
+#ifndef AUTOCE_BENCH_SUPPORT_SOAK_H_
+#define AUTOCE_BENCH_SUPPORT_SOAK_H_
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "util/chaos.h"
+#include "bench/support/chaos.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -139,4 +139,4 @@ Result<SoakReport> RunSoak(const SoakConfig& config);
 
 }  // namespace autoce::adapt
 
-#endif  // AUTOCE_ADAPT_SOAK_H_
+#endif  // AUTOCE_BENCH_SUPPORT_SOAK_H_

@@ -170,9 +170,8 @@ AdaptationPipeline::AdaptationPipeline(AdaptationConfig config,
 
 void AdaptationPipeline::LoadQuarantineLog() {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  for (QuarantineRecord& record : ReadQuarantineLog(store_dir_)) {
+  for (const QuarantineRecord& record : ReadQuarantineLog(store_dir_)) {
     quarantine_set_.insert(record.fingerprint);
-    quarantined_.push_back(std::move(record));
   }
 }
 
@@ -222,12 +221,6 @@ Result<Offered> AdaptationPipeline::RequeueFromQuarantine(
           "requeue dataset does not fingerprint to the quarantined entry");
     }
     quarantine_set_.erase(fingerprint);
-    quarantined_.erase(
-        std::remove_if(quarantined_.begin(), quarantined_.end(),
-                       [&](const QuarantineRecord& record) {
-                         return record.fingerprint == fingerprint;
-                       }),
-        quarantined_.end());
   }
   RemoveFromQuarantineLog(store_dir_, fingerprint);
   // Offer directly — no drift gate: the item was OOD when it first
@@ -321,7 +314,6 @@ void AdaptationPipeline::Quarantine(const OodCandidate& item,
   ++report->quarantined;
   std::lock_guard<std::mutex> lock(stats_mu_);
   quarantine_set_.insert(record.fingerprint);
-  quarantined_.push_back(std::move(record));
 }
 
 Status AdaptationPipeline::ReloadTrainer() {
@@ -618,11 +610,6 @@ void AdaptationPipeline::Stop() {
   running_ = false;
 }
 
-bool AdaptationPipeline::running() const {
-  std::lock_guard<std::mutex> lock(worker_mu_);
-  return running_;
-}
-
 void AdaptationPipeline::WorkerLoop() {
   std::unique_lock<std::mutex> lock(worker_mu_);
   while (!stop_) {
@@ -661,21 +648,6 @@ AdaptationStats AdaptationPipeline::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   out.backoff_ms_total = backoff_ms_total_;
   return out;
-}
-
-std::vector<uint64_t> AdaptationPipeline::quarantined() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  std::vector<uint64_t> fingerprints;
-  fingerprints.reserve(quarantined_.size());
-  for (const QuarantineRecord& record : quarantined_) {
-    fingerprints.push_back(record.fingerprint);
-  }
-  return fingerprints;
-}
-
-std::vector<QuarantineRecord> AdaptationPipeline::quarantine_records() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return quarantined_;
 }
 
 uint64_t AdaptationPipeline::TrainerDigest() const {

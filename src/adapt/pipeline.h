@@ -209,18 +209,9 @@ class AdaptationPipeline {
   /// Stops and joins the background worker (idempotent).
   void Stop();
 
-  bool running() const;
-
   FeedbackQueue& queue() { return queue_; }
 
   AdaptationStats stats() const;
-
-  /// Fingerprints of quarantined items, in quarantine order.
-  std::vector<uint64_t> quarantined() const;
-
-  /// Full quarantine records (including entries reloaded from the
-  /// persisted log), in quarantine order.
-  std::vector<QuarantineRecord> quarantine_records() const;
 
   /// ModelDigest of the trainer — the bit-identity witness the
   /// recovery harness compares across killed/resumed runs.
@@ -290,11 +281,10 @@ class AdaptationPipeline {
   util::SnapshotStore verify_store_;      // guarded by run_mu_
   std::unordered_set<uint64_t> rcs_fingerprints_;  // guarded by run_mu_
 
-  /// Guards the backoff total and the quarantine list (readable while
-  /// a batch runs).
+  /// Guards the backoff total and the quarantine set (readable while a
+  /// batch runs).
   mutable std::mutex stats_mu_;
   double backoff_ms_total_ = 0.0;                // guarded by stats_mu_
-  std::vector<QuarantineRecord> quarantined_;    // guarded by stats_mu_
   std::unordered_set<uint64_t> quarantine_set_;  // guarded by stats_mu_
 
   /// The AdaptationStats counters.

@@ -746,14 +746,6 @@ Status AutoCe::EnableSnapshots(const std::string& dir,
   return Status::OK();
 }
 
-Status AutoCe::SaveSnapshot() {
-  if (store_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no snapshot store attached (call EnableSnapshots first)");
-  }
-  return CommitCheckpoint();
-}
-
 Status AutoCe::CommitCheckpoint() {
   if (store_ == nullptr) return Status::OK();
   if (encoder_ == nullptr) {

@@ -192,7 +192,7 @@ class AutoCe {
   size_t RcsSize() const { return labels_.size(); }
 
   /// Persists the fitted advisor to `path` as one snapshot generation:
-  /// the same CRC-framed sections SaveSnapshot commits, so a `.ace` file
+  /// the same CRC-framed sections a checkpoint commits, so a `.ace` file
   /// is byte-identical to the store generation of the same state. The
   /// write is atomic (temp file + rename); reload with Load().
   Status Save(const std::string& path) const;
@@ -227,14 +227,9 @@ class AutoCe {
   /// Attaches a crash-safe snapshot store at `dir` (created if needed).
   /// Once attached, Fit commits a snapshot generation at every
   /// validation checkpoint and AddLabeledSample after every online
-  /// update; SaveSnapshot commits on demand.
+  /// update.
   Status EnableSnapshots(const std::string& dir,
                          util::SnapshotStoreOptions options = {});
-
-  /// Commits the advisor's complete state (config, RCS, encoder, best
-  /// checkpointed encoder, RNG cursors, training cursor) as a new
-  /// generation.
-  Status SaveSnapshot();
 
   /// Resumes an interrupted Fit: loads the newest good snapshot under
   /// `dir` and continues training from its cursor, committing further

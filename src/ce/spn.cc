@@ -235,16 +235,4 @@ double SumProductNetwork::Probability(
   return NodeProbability(root_, preds);
 }
 
-size_t SumProductNetwork::NumSumNodes() const {
-  size_t n = 0;
-  for (const auto& node : nodes_) n += (node.kind == NodeKind::kSum);
-  return n;
-}
-
-size_t SumProductNetwork::NumProductNodes() const {
-  size_t n = 0;
-  for (const auto& node : nodes_) n += (node.kind == NodeKind::kProduct);
-  return n;
-}
-
 }  // namespace autoce::ce

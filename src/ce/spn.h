@@ -40,8 +40,6 @@ class SumProductNetwork {
 
   /// Number of nodes (diagnostics / tests).
   size_t NumNodes() const { return nodes_.size(); }
-  size_t NumSumNodes() const;
-  size_t NumProductNodes() const;
 
  private:
   enum class NodeKind { kLeaf, kSum, kProduct };

@@ -144,29 +144,29 @@ Result<Table> LoadCsvTable(const std::string& path,
                    ? header[c]
                    : table.name + "_c" + std::to_string(c);
 
-    // Pass 1: is the column fully integer?
-    bool all_int = true;
+    // Pass 1: is the column fully integer? The extremes come from the
+    // present values only.
+    bool all_int = true, any_value = false;
     int64_t min_v = 0, max_v = 0;
-    for (size_t r = 0; r < raw.size() && all_int; ++r) {
+    for (const auto& row : raw) {
       int64_t v;
-      if (raw[r][c].empty()) continue;  // missing -> handled later
-      if (!ParseInt(raw[r][c], &v)) {
+      if (row[c].empty()) continue;  // missing -> handled later
+      if (!ParseInt(row[c], &v)) {
         all_int = false;
         break;
       }
-      if (r == 0 || v < min_v) min_v = std::min(v, min_v);
-      max_v = std::max(v, max_v);
-      if (r == 0) {
-        min_v = v;
-        max_v = v;
-      }
+      min_v = any_value ? std::min(min_v, v) : v;
+      max_v = any_value ? std::max(max_v, v) : v;
+      any_value = true;
     }
+    // max_v - min_v in unsigned arithmetic: the int64 difference of two
+    // extreme values overflows.
+    const uint64_t span =
+        static_cast<uint64_t>(max_v) - static_cast<uint64_t>(min_v);
 
-    if (all_int &&
-        max_v - min_v + 1 <= static_cast<int64_t>(options.max_domain)) {
+    if (all_int && span < static_cast<uint64_t>(options.max_domain)) {
       // Order-preserving shift into [1, domain]; missing values -> 1.
-      col.domain_size = static_cast<int32_t>(max_v - min_v + 1);
-      if (col.domain_size < 1) col.domain_size = 1;
+      col.domain_size = static_cast<int32_t>(span + 1);
       for (const auto& row : raw) {
         int64_t v;
         if (row[c].empty() || !ParseInt(row[c], &v)) {
@@ -193,27 +193,6 @@ Result<Table> LoadCsvTable(const std::string& path,
     table.columns.push_back(std::move(col));
   }
   return table;
-}
-
-Status SaveCsvTable(const Table& table, const std::string& path,
-                    char delimiter) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::Internal("cannot open for writing: " + path);
-  }
-  for (size_t c = 0; c < table.columns.size(); ++c) {
-    if (c > 0) out << delimiter;
-    out << table.columns[c].name;
-  }
-  out << "\n";
-  for (int64_t r = 0; r < table.NumRows(); ++r) {
-    for (size_t c = 0; c < table.columns.size(); ++c) {
-      if (c > 0) out << delimiter;
-      out << table.columns[c].values[static_cast<size_t>(r)];
-    }
-    out << "\n";
-  }
-  return out.good() ? Status::OK() : Status::Internal("write failed");
 }
 
 namespace {

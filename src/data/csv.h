@@ -64,10 +64,6 @@ Result<Table> LoadCsvTable(const std::string& path,
                            const CsvOptions& options = {},
                            CsvReport* report = nullptr);
 
-/// Writes a table back out as CSV (coded values; header = column names).
-Status SaveCsvTable(const Table& table, const std::string& path,
-                    char delimiter = ',');
-
 /// Binary round-trip of whole datasets (schema + data + FK edges), used
 /// by the CLI to pass corpora between `generate`, `label`, and
 /// `recommend` steps. `LoadDataset` returns an error for a truncated or

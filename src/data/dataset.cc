@@ -1,7 +1,7 @@
 #include "data/dataset.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
@@ -75,13 +75,6 @@ int64_t Column::CountDistinct() const {
   return static_cast<int64_t>(set.size());
 }
 
-int Table::FindColumn(const std::string& column_name) const {
-  for (size_t i = 0; i < columns.size(); ++i) {
-    if (columns[i].name == column_name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 int64_t Dataset::TotalRows() const {
   int64_t n = 0;
   for (const auto& t : tables_) n += t.NumRows();
@@ -123,48 +116,12 @@ Status Dataset::AddForeignKey(const ForeignKey& fk) {
   return Status::OK();
 }
 
-int Dataset::FindTable(const std::string& table_name) const {
-  for (size_t i = 0; i < tables_.size(); ++i) {
-    if (tables_[i].name == table_name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 std::vector<ForeignKey> Dataset::JoinsOf(int t) const {
   std::vector<ForeignKey> out;
   for (const auto& fk : fks_) {
     if (fk.fk_table == t || fk.pk_table == t) out.push_back(fk);
   }
   return out;
-}
-
-bool Dataset::IsConnected(const std::vector<int>& table_ids) const {
-  if (table_ids.empty()) return false;
-  if (table_ids.size() == 1) return true;
-  // Queries join a handful of tables: a sorted member list and a
-  // linearly scanned visited list take about half the time of two hash
-  // sets on 2-4-table subqueries.
-  std::vector<int> member(table_ids);
-  std::sort(member.begin(), member.end());
-  member.erase(std::unique(member.begin(), member.end()), member.end());
-  std::vector<int> visited{table_ids[0]};
-  std::vector<int> stack{table_ids[0]};
-  while (!stack.empty()) {
-    int t = stack.back();
-    stack.pop_back();
-    for (const auto& fk : fks_) {
-      int other = -1;
-      if (fk.fk_table == t) other = fk.pk_table;
-      if (fk.pk_table == t) other = fk.fk_table;
-      if (other >= 0 &&
-          std::binary_search(member.begin(), member.end(), other) &&
-          std::find(visited.begin(), visited.end(), other) == visited.end()) {
-        visited.push_back(other);
-        stack.push_back(other);
-      }
-    }
-  }
-  return visited.size() == member.size();
 }
 
 double Dataset::JoinCorrelation(const ForeignKey& fk) const {

@@ -38,9 +38,6 @@ struct Table {
     return columns.empty() ? 0 : static_cast<int64_t>(columns[0].values.size());
   }
   int NumColumns() const { return static_cast<int>(columns.size()); }
-
-  /// Index of the column with the given name, or -1.
-  int FindColumn(const std::string& column_name) const;
 };
 
 /// \brief A PK-FK relationship: `fk_table.fk_column` references
@@ -85,14 +82,8 @@ class Dataset {
   /// Registers a PK-FK edge; validates the referenced tables/columns.
   Status AddForeignKey(const ForeignKey& fk);
 
-  /// Index of the table with the given name, or -1.
-  int FindTable(const std::string& table_name) const;
-
   /// All FK edges incident to table `t` (either side).
   std::vector<ForeignKey> JoinsOf(int t) const;
-
-  /// True when the join graph restricted to `table_ids` is connected.
-  bool IsConnected(const std::vector<int>& table_ids) const;
 
   /// The paper's join-correlation feature for an FK edge: the fraction of
   /// PK values that appear in the FK column (|distinct FK| / |distinct PK|).

@@ -7,23 +7,6 @@
 
 namespace autoce::dyn {
 
-int RegimeVector::Level(int axis) const {
-  switch (axis) {
-    case 0:
-      return tables;
-    case 1:
-      return skew;
-    case 2:
-      return correlation;
-    case 3:
-      return fanout;
-    case 4:
-      return drift;
-  }
-  AUTOCE_CHECK(false);
-  return 0;
-}
-
 std::string RegimeVector::Name() const {
   std::string name = "T";
   name += std::to_string(tables);

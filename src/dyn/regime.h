@@ -10,9 +10,6 @@
 
 namespace autoce::dyn {
 
-/// Axis names, in the order they appear in `RegimeVector::Name()`.
-inline constexpr const char* kRegimeAxisNames[] = {
-    "tables", "skew", "correlation", "fanout", "drift"};
 inline constexpr int kNumRegimeAxes = 5;
 
 /// \brief The CardBench-style regime tag of a dataset: one level index
@@ -25,7 +22,6 @@ struct RegimeVector {
   int fanout = 0;
   int drift = 0;
 
-  int Level(int axis) const;
   std::string Name() const;
   bool operator==(const RegimeVector& o) const = default;
 };

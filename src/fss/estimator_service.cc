@@ -277,20 +277,6 @@ ServiceStats EstimatorService::stats() const {
   return out;
 }
 
-std::string EstimatorService::model_name() const {
-  std::lock_guard<std::mutex> lock(model_mu_);
-  return model_ == nullptr ? "none" : model_->name();
-}
-
-std::size_t EstimatorService::cache_size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->entries.size();
-  }
-  return n;
-}
-
 std::size_t EstimatorService::knowledge_size() const {
   std::lock_guard<std::mutex> lock(knowledge_mu_);
   return knowledge_.size();

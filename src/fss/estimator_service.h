@@ -149,10 +149,6 @@ class EstimatorService : public engine::CardinalitySource {
 
   ServiceStats stats() const;
 
-  /// Name of the hosted model ("none" when degraded to histogram-only).
-  std::string model_name() const;
-
-  std::size_t cache_size() const;
   std::size_t knowledge_size() const;
 
  private:

@@ -1,7 +1,6 @@
 #include "util/budget.h"
 
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 namespace autoce::util {
@@ -20,12 +19,6 @@ double DeadlineBudget::Elapsed() const {
   return elapsed < 0.0 ? 0.0 : elapsed;
 }
 
-double DeadlineBudget::Remaining() const {
-  if (unlimited()) return std::numeric_limits<double>::infinity();
-  double left = budget_seconds_ - Elapsed();
-  return left < 0.0 ? 0.0 : left;
-}
-
 bool DeadlineBudget::Exhausted() const {
   return !unlimited() && Elapsed() >= budget_seconds_;
 }
@@ -37,43 +30,6 @@ Status DeadlineBudget::Check(const char* what) const {
                 "%s: deadline budget of %.3fs exhausted (elapsed %.3fs)",
                 what, budget_seconds_, Elapsed());
   return Status::DeadlineExceeded(msg);
-}
-
-Status ByteBudget::Charge(uint64_t bytes, const char* what) {
-  if (unlimited()) return Status::OK();
-  uint64_t prev = used_.load(std::memory_order_relaxed);
-  while (true) {
-    if (prev > limit_ || bytes > limit_ - prev) {
-      char msg[160];
-      std::snprintf(msg, sizeof(msg),
-                    "%s: byte budget exhausted (%llu used + %llu requested "
-                    "> %llu limit)",
-                    what, static_cast<unsigned long long>(prev),
-                    static_cast<unsigned long long>(bytes),
-                    static_cast<unsigned long long>(limit_));
-      return Status::ResourceExhausted(msg);
-    }
-    if (used_.compare_exchange_weak(prev, prev + bytes,
-                                    std::memory_order_relaxed)) {
-      return Status::OK();
-    }
-  }
-}
-
-void ByteBudget::Release(uint64_t bytes) {
-  uint64_t prev = used_.load(std::memory_order_relaxed);
-  while (true) {
-    uint64_t next = bytes > prev ? 0 : prev - bytes;
-    if (used_.compare_exchange_weak(prev, next, std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-uint64_t ByteBudget::remaining() const {
-  if (unlimited()) return std::numeric_limits<uint64_t>::max();
-  uint64_t u = used();
-  return u > limit_ ? 0 : limit_ - u;
 }
 
 }  // namespace autoce::util

@@ -6,8 +6,6 @@
 namespace autoce {
 
 namespace {
-LogLevel g_level = LogLevel::kInfo;
-
 const char* LevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -22,9 +20,6 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 }  // namespace
-
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
 
 namespace internal {
 

@@ -9,11 +9,8 @@ namespace autoce {
 /// \brief Severity levels for the lightweight logger.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Sets the global minimum severity that is emitted (default kInfo).
-void SetLogLevel(LogLevel level);
-
-/// Current global minimum severity.
-LogLevel GetLogLevel();
+/// Minimum severity that is emitted.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 
 namespace internal {
 
@@ -38,7 +35,7 @@ class LogMessage {
 }  // namespace autoce
 
 #define AUTOCE_LOG(level)                                             \
-  if (::autoce::LogLevel::k##level >= ::autoce::GetLogLevel())        \
+  if (::autoce::LogLevel::k##level >= ::autoce::kMinLogLevel)         \
   ::autoce::internal::LogMessage(::autoce::LogLevel::k##level,        \
                                  __FILE__, __LINE__)                  \
       .stream()

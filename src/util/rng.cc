@@ -72,10 +72,6 @@ double Rng::Gaussian() {
   return mag * std::cos(2.0 * M_PI * u2);
 }
 
-double Rng::Gaussian(double mean, double stddev) {
-  return mean + stddev * Gaussian();
-}
-
 double Rng::ParetoSkewed(double skew, double v_min, double v_max) {
   assert(v_max >= v_min);
   if (skew <= 1e-9) return Uniform(v_min, v_max);
@@ -121,23 +117,6 @@ double Rng::Beta(double alpha, double beta) {
   double y = Gamma(beta);
   if (x + y <= 0.0) return 0.5;
   return x / (x + y);
-}
-
-int64_t Rng::Zipf(int64_t n, double theta) {
-  assert(n >= 1);
-  if (theta <= 1e-9) return UniformInt(0, n - 1);
-  // Inverse-CDF on the harmonic weights; O(n) precompute avoided by
-  // rejection-free cumulative walk for small n, which is all we need
-  // (domain sizes are bounded in this library).
-  double h = 0.0;
-  for (int64_t k = 1; k <= n; ++k) h += 1.0 / std::pow(static_cast<double>(k), theta);
-  double u = Uniform() * h;
-  double acc = 0.0;
-  for (int64_t k = 1; k <= n; ++k) {
-    acc += 1.0 / std::pow(static_cast<double>(k), theta);
-    if (acc >= u) return k - 1;
-  }
-  return n - 1;
 }
 
 std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {

@@ -34,9 +34,6 @@ class Rng {
   /// Standard normal via Box-Muller.
   double Gaussian();
 
-  /// Gaussian with the given mean and standard deviation.
-  double Gaussian(double mean, double stddev);
-
   /// Pareto-style skewed sample per the paper's Eq. 1: returns a value in
   /// [v_min, v_max]. skew = 0 degenerates to uniform; larger skew
   /// concentrates mass near v_min.
@@ -47,9 +44,6 @@ class Rng {
 
   /// Samples from a Beta(alpha, beta) distribution (used by Mixup).
   double Beta(double alpha, double beta);
-
-  /// Zipfian rank sample in [0, n): P(k) proportional to 1/(k+1)^theta.
-  int64_t Zipf(int64_t n, double theta);
 
   /// In-place Fisher-Yates shuffle.
   template <typename T>

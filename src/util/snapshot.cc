@@ -14,7 +14,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/budget.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/serde.h"
@@ -455,7 +454,6 @@ Result<uint64_t> SnapshotStore::Commit(
     // keep-1 existing generations (everything older is collected). The
     // check runs before any byte is written, so a rejected commit
     // leaves the store bit-identical to before the call.
-    ByteBudget budget(options_.disk_budget_bytes);
     std::vector<uint64_t> gens = ListGenerations();  // ascending
     size_t keep_existing =
         static_cast<size_t>(options_.keep_generations) - 1;
@@ -467,9 +465,15 @@ Result<uint64_t> SnapshotStore::Commit(
         projected += static_cast<uint64_t>(st.st_size);
       }
     }
-    if (Status st = budget.Charge(projected, "snapshot.commit"); !st.ok()) {
+    if (projected > options_.disk_budget_bytes) {
       metrics.budget_rejects->Add();
-      return st;
+      char msg[160];
+      std::snprintf(msg, sizeof(msg),
+                    "snapshot.commit: disk budget exhausted (%llu bytes "
+                    "projected > %llu limit)",
+                    static_cast<unsigned long long>(projected),
+                    static_cast<unsigned long long>(options_.disk_budget_bytes));
+      return Status::ResourceExhausted(msg);
     }
   }
 

@@ -144,14 +144,6 @@ Moments MomentsOf(const std::vector<T>& v) {
 
 template Moments MomentsOf(const std::vector<double>& v);
 
-template <>
-Moments MomentsOf(const std::vector<int32_t>& v) {
-  Moments out;
-  const std::span<const int32_t> column(v);
-  MomentsOfColumns({&column, 1}, {&out, 1});
-  return out;
-}
-
 void MomentsOfColumns(std::span<const std::span<const int32_t>> columns,
                       std::span<Moments> out) {
   AUTOCE_CHECK(out.size() == columns.size());

@@ -31,14 +31,10 @@ struct Moments {
 /// deviations, then z^3 and z^4 together. Every element is converted to
 /// double before any arithmetic and each sum runs left to right.
 /// Skewness needs 3 elements, kurtosis 4, and both are 0 when
-/// stddev < 1e-12. Instantiated for `double`, the scalar reference; for
-/// `int32_t` codes it is the one-column case of `MomentsOfColumns`,
-/// with the same bits as over the codes widened to double.
+/// stddev < 1e-12. Instantiated for `double` only: the scalar reference
+/// that `MomentsOfColumns` matches bit for bit.
 template <typename T>
 Moments MomentsOf(const std::vector<T>& v);
-
-template <>
-Moments MomentsOf(const std::vector<int32_t>& v);
 
 /// `out[c]` = the moments of int32 code column `columns[c]`, the same
 /// bits as `MomentsOf<double>` over the codes widened to double.

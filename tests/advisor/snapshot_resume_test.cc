@@ -268,16 +268,6 @@ TEST(SnapshotResumeTest, OnlineUpdatesCommitAndRestore) {
   EXPECT_EQ(resumed->ModelDigest(), advisor.ModelDigest());
 }
 
-TEST(SnapshotResumeTest, SaveSnapshotRequiresStoreAndFit) {
-  AutoCe unfitted;
-  EXPECT_EQ(unfitted.SaveSnapshot().code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(
-      unfitted.EnableSnapshots(FreshDir("resume_unfitted")).ok());
-  EXPECT_EQ(unfitted.SaveSnapshot().code(),
-            StatusCode::kFailedPrecondition);
-}
-
 TEST(SnapshotResumeTest, ResumeFromEmptyDirReportsNotFound) {
   auto resumed = AutoCe::ResumeFit(FreshDir("resume_nothing"));
   EXPECT_FALSE(resumed.ok());

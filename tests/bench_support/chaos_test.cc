@@ -1,4 +1,4 @@
-#include "util/chaos.h"
+#include "bench/support/chaos.h"
 
 #include <gtest/gtest.h>
 
@@ -166,13 +166,6 @@ TEST(ChaosScheduleTest, JsonCarriesSeedTicksPhasesAndKills) {
   EXPECT_NE(json.find("\"ticks\": 20"), std::string::npos) << json;
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
   EXPECT_NE(json.find("\"kill_ticks\""), std::string::npos);
-}
-
-TEST(ChaosSeedTest, SetterOverridesAndSticks) {
-  SetActiveChaosSeed(12345);
-  EXPECT_EQ(ActiveChaosSeed(), 12345u);
-  SetActiveChaosSeed(0);
-  EXPECT_EQ(ActiveChaosSeed(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // the configured threshold offers the live dataset to the adaptation
 // pipeline — closing the loop from serving-time drift evidence to
 // retraining, without any new queue or thread.
-#include "adapt/drift_feedback.h"
+#include "bench/support/drift_feedback.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "dyn/drift_label.h"
+#include "bench/support/drift_label.h"
 
 #include <gtest/gtest.h>
 

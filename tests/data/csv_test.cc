@@ -35,6 +35,31 @@ TEST(CsvLoadTest, IntegerColumnsArePreservedOrderwise) {
   std::remove(path.c_str());
 }
 
+TEST(CsvLoadTest, ExtremeIntegersAreDictionaryEncoded) {
+  // INT64_MAX - (-1) overflows int64; the span is far past max_domain.
+  std::string path = TempPath("extremes.csv");
+  WriteFile(path, "v\n-1\n9223372036854775807\n-1\n");
+  auto table = LoadCsvTable(path);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->columns[0].values, (std::vector<int32_t>{1, 2, 1}));
+  EXPECT_EQ(table->columns[0].domain_size, 2);
+  std::remove(path.c_str());
+}
+
+TEST(CsvLoadTest, MissingValuesDoNotWidenTheDomain) {
+  // The extremes come from the present values, wherever the first one
+  // sits; a missing value is code 1.
+  std::string path = TempPath("missing.csv");
+  WriteFile(path, "a,b\n,5\n5,7\n7,\n");
+  auto table = LoadCsvTable(path);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->columns[0].values, (std::vector<int32_t>{1, 1, 3}));
+  EXPECT_EQ(table->columns[0].domain_size, 3);
+  EXPECT_EQ(table->columns[1].values, (std::vector<int32_t>{1, 3, 1}));
+  EXPECT_EQ(table->columns[1].domain_size, 3);
+  std::remove(path.c_str());
+}
+
 TEST(CsvLoadTest, StringsAreDictionaryEncoded) {
   std::string path = TempPath("strings.csv");
   WriteFile(path, "city\nparis\nlondon\nparis\ntokyo\n");
@@ -176,7 +201,20 @@ TEST(CsvRoundTripTest, SaveThenLoad) {
   p.num_rows = 50;
   Table t = GenerateSingleTable(p, &rng);
   std::string path = TempPath("roundtrip.csv");
-  ASSERT_TRUE(SaveCsvTable(t, path).ok());
+  {
+    std::ofstream out(path);
+    for (int c = 0; c < t.NumColumns(); ++c) {
+      out << (c > 0 ? "," : "") << t.columns[static_cast<size_t>(c)].name;
+    }
+    out << "\n";
+    for (int64_t r = 0; r < t.NumRows(); ++r) {
+      for (int c = 0; c < t.NumColumns(); ++c) {
+        out << (c > 0 ? "," : "")
+            << t.columns[static_cast<size_t>(c)].values[static_cast<size_t>(r)];
+      }
+      out << "\n";
+    }
+  }
   auto loaded = LoadCsvTable(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->NumRows(), t.NumRows());

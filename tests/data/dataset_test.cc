@@ -4,8 +4,10 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "engine/executor.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -31,22 +33,26 @@ Table MakeTable(const std::string& name,
 }
 
 TEST(ColumnTest, DistinctAndMinMax) {
+  auto moments = [](const Column& col) {
+    stats::Moments m;
+    const std::span<const int32_t> codes(col.values);
+    stats::MomentsOfColumns({&codes, 1}, {&m, 1});
+    return m;
+  };
   Column c;
   c.values = {3, 1, 3, 2, 1};
   EXPECT_EQ(c.CountDistinct(), 3);
-  EXPECT_EQ(stats::MomentsOf(c.values).min, 1);
-  EXPECT_EQ(stats::MomentsOf(c.values).max, 3);
+  EXPECT_EQ(moments(c).min, 1);
+  EXPECT_EQ(moments(c).max, 3);
   Column empty;
   EXPECT_EQ(empty.CountDistinct(), 0);
-  EXPECT_EQ(stats::MomentsOf(empty.values).min, 0);
+  EXPECT_EQ(moments(empty).min, 0);
 }
 
 TEST(TableTest, ShapeAccessors) {
   Table t = MakeTable("t", {{"a", {1, 2, 3}}, {"b", {4, 5, 6}}});
   EXPECT_EQ(t.NumRows(), 3);
   EXPECT_EQ(t.NumColumns(), 2);
-  EXPECT_EQ(t.FindColumn("b"), 1);
-  EXPECT_EQ(t.FindColumn("zzz"), -1);
 }
 
 class TwoTableDatasetTest : public ::testing::Test {
@@ -75,19 +81,22 @@ TEST_F(TwoTableDatasetTest, Totals) {
 }
 
 TEST_F(TwoTableDatasetTest, FindAndJoins) {
-  EXPECT_EQ(ds_.FindTable("child"), child_id_);
-  EXPECT_EQ(ds_.FindTable("none"), -1);
   EXPECT_EQ(ds_.JoinsOf(parent_id_).size(), 1u);
   EXPECT_EQ(ds_.JoinsOf(child_id_).size(), 1u);
 }
 
 TEST_F(TwoTableDatasetTest, Connectivity) {
-  EXPECT_TRUE(ds_.IsConnected({parent_id_, child_id_}));
-  EXPECT_TRUE(ds_.IsConnected({parent_id_}));
-  EXPECT_FALSE(ds_.IsConnected({}));
-  // Repeated ids count once; an unknown id is never reached.
-  EXPECT_TRUE(ds_.IsConnected({child_id_, parent_id_, child_id_}));
-  EXPECT_FALSE(ds_.IsConnected({parent_id_, 99}));
+  // The check every join query passes: its joins span its tables as a
+  // tree.
+  const std::vector<ForeignKey>& fks = ds_.foreign_keys();
+  EXPECT_TRUE(engine::CheckJoinTree(ds_, {parent_id_, child_id_}, fks).ok());
+  EXPECT_TRUE(engine::CheckJoinTree(ds_, {parent_id_}, {}).ok());
+  EXPECT_FALSE(engine::CheckJoinTree(ds_, {}, {}).ok());
+  EXPECT_FALSE(engine::CheckJoinTree(ds_, {parent_id_, child_id_}, {}).ok());
+  // A repeated id is not a tree; an unknown id is not in the dataset.
+  EXPECT_FALSE(
+      engine::CheckJoinTree(ds_, {child_id_, parent_id_, child_id_}, fks).ok());
+  EXPECT_FALSE(engine::CheckJoinTree(ds_, {parent_id_, 99}, fks).ok());
 }
 
 TEST_F(TwoTableDatasetTest, JoinCorrelation) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
+#include "engine/executor.h"
 #include "util/stats.h"
 
 namespace autoce::data {
@@ -22,8 +24,8 @@ TEST(SingleTableTest, ShapeAndDomains) {
   for (const auto& c : t.columns) {
     EXPECT_GE(c.domain_size, 20);
     EXPECT_LE(c.domain_size, 50);
-    EXPECT_GE(stats::MomentsOf(c.values).min, 1);
-    EXPECT_LE(stats::MomentsOf(c.values).max, c.domain_size);
+    EXPECT_GE(std::ranges::min(c.values), 1);
+    EXPECT_LE(std::ranges::max(c.values), c.domain_size);
   }
 }
 
@@ -115,8 +117,7 @@ TEST(DatasetGenTest, MultiTableDatasetIsConnectedTree) {
   EXPECT_EQ(ds.NumTables(), 4);
   // A tree over n tables has exactly n-1 edges and is connected.
   EXPECT_EQ(ds.foreign_keys().size(), 3u);
-  std::vector<int> all{0, 1, 2, 3};
-  EXPECT_TRUE(ds.IsConnected(all));
+  EXPECT_TRUE(engine::CheckJoinTree(ds, {0, 1, 2, 3}, ds.foreign_keys()).ok());
   EXPECT_TRUE(ds.Validate().ok());
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
+
 namespace autoce::data {
 namespace {
 
@@ -75,7 +77,8 @@ TEST(SplitSamplesTest, ProducesValidConnectedSubDatasets) {
     // Joined tables must be connected.
     std::vector<int> all;
     for (int t = 0; t < sub.NumTables(); ++t) all.push_back(t);
-    EXPECT_TRUE(sub.IsConnected(all)) << sub.name();
+    EXPECT_TRUE(engine::CheckJoinTree(sub, all, sub.foreign_keys()).ok())
+        << sub.name();
     // Per the paper's procedure: 1-2 non-key columns per table.
     for (int t = 0; t < sub.NumTables(); ++t) {
       const Table& tab = sub.table(t);

@@ -564,7 +564,7 @@ void ExerciseFssLookup() {
   }
   EXPECT_GT(reg.FireCount(sites::kFssLookup), 0);
   EXPECT_EQ((*service)->stats().fallbacks, (*service)->stats().lookups);
-  EXPECT_EQ((*service)->cache_size(), 0u);
+  EXPECT_EQ((*service)->stats().cache_hits, 0u);
   reg.Disable();
 }
 

@@ -80,7 +80,6 @@ TEST(EstimatorServiceTest, NullModelServesHistogramFallback) {
   EXPECT_EQ(stats.lookups, 5u);
   EXPECT_EQ(stats.fallbacks, 5u);
   EXPECT_EQ(stats.model_estimates, 0u);
-  EXPECT_EQ((*service)->model_name(), "none");
 }
 
 TEST(EstimatorServiceTest, ModelEstimatesAreCachedBySubplan) {
@@ -98,7 +97,6 @@ TEST(EstimatorServiceTest, ModelEstimatesAreCachedBySubplan) {
   ServiceStats stats = (*service)->stats();
   EXPECT_EQ(stats.model_estimates, 4u);
   EXPECT_EQ(stats.cache_hits, 4u);
-  EXPECT_EQ((*service)->cache_size(), 4u);
 }
 
 TEST(EstimatorServiceTest, EstimatesAreCallOrderIndependent) {
@@ -154,11 +152,11 @@ TEST(EstimatorServiceTest, DeterministicFifoEviction) {
   (*service)->EstimateSubplan(queries[0]);
   (*service)->EstimateSubplan(queries[1]);
   (*service)->EstimateSubplan(queries[2]);  // evicts queries[0]
-  EXPECT_EQ((*service)->cache_size(), 2u);
   EXPECT_EQ((*service)->stats().evictions, 1u);
 
   (*service)->EstimateSubplan(queries[1]);  // still cached
-  EXPECT_EQ((*service)->stats().cache_hits, 1u);
+  (*service)->EstimateSubplan(queries[2]);  // still cached
+  EXPECT_EQ((*service)->stats().cache_hits, 2u);
   (*service)->EstimateSubplan(queries[0]);  // re-estimated
   EXPECT_EQ((*service)->stats().model_estimates, 4u);
 }
@@ -200,12 +198,13 @@ TEST(EstimatorServiceTest, LookupFaultFallsBackToHistogram) {
                      histogram.EstimateCardinality(q));
   }
   EXPECT_EQ((*service)->stats().fallbacks, 4u);
-  EXPECT_EQ((*service)->cache_size(), 0u);  // degraded answers not cached
   util::FaultInjection::Instance().Disable();
 
-  // Recovered: the model answers again.
+  // Recovered: the model answers again, and the degraded answer was not
+  // cached.
   (*service)->EstimateSubplan(queries[0]);
   EXPECT_EQ((*service)->stats().model_estimates, 1u);
+  EXPECT_EQ((*service)->stats().cache_hits, 0u);
 }
 
 TEST(EstimatorServiceTest, CommitFaultLeavesDurableStoreUntouched) {

@@ -108,11 +108,6 @@ TEST(RngEdgeTest, BetaExtremeShapes) {
   }
 }
 
-TEST(RngEdgeTest, ZipfSingleton) {
-  Rng rng(6);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(rng.Zipf(1, 1.5), 0);
-}
-
 TEST(RuleSelectorDistributionTest, RandomizesWithinClass) {
   // The rule baseline picks *randomly* within the class — all three
   // data-driven models must appear over enough single-table datasets.

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "data/generator.h"
+#include "engine/executor.h"
 #include "query/featurize.h"
 
 namespace autoce::query {
@@ -41,9 +42,8 @@ TEST(WorkloadTest, QueriesAreWellFormed) {
   for (const auto& q : qs) {
     EXPECT_GE(q.tables.size(), 1u);
     EXPECT_LE(q.tables.size(), 4u);
-    EXPECT_TRUE(ds.IsConnected(q.tables)) << q.ToString(ds);
-    // Tree join graph.
-    EXPECT_EQ(q.joins.size(), q.tables.size() - 1);
+    EXPECT_TRUE(engine::CheckJoinTree(ds, q.tables, q.joins).ok())
+        << q.ToString(ds);
     EXPECT_GE(q.predicates.size(), 1u);  // min_total_predicates default
     for (const auto& p : q.predicates) {
       // Predicates only on query tables and within column domains.

@@ -546,10 +546,14 @@ TEST_F(ServerTest, ReloadDropsCachedEmbeddingsOnlyWhenTheEncoderMoved) {
   EXPECT_FALSE(updated.from_cache);
   expect_direct_bits(updated);
 
-  // Committing the unchanged state is a new generation with the same
-  // encoder: the cached embedding stays valid.
+  // Committing the unchanged state again is a new generation with the
+  // same encoder: the cached embedding stays valid.
   uint64_t generation = (*server)->generation();
-  ASSERT_TRUE(advisor.SaveSnapshot().ok());
+  auto store = util::SnapshotStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  auto sections = store->LoadLatest();
+  ASSERT_TRUE(sections.ok());
+  ASSERT_TRUE(store->Commit(*sections).ok());
   ASSERT_TRUE((*server)->Reload().ok());
   EXPECT_GT((*server)->generation(), generation);
   RecommendResponse kept = (*server)->ServeOne(x);

@@ -117,18 +117,6 @@ TEST(RngTest, BetaInUnitIntervalWithCorrectMean) {
   EXPECT_NEAR(stats::Mean(xs), 2.0 / 7.0, 0.02);
 }
 
-TEST(RngTest, ZipfSkewsTowardsSmallRanks) {
-  Rng rng(37);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 20000; ++i) counts[rng.Zipf(10, 1.2)]++;
-  EXPECT_GT(counts[0], counts[4]);
-  EXPECT_GT(counts[0], counts[9]);
-  // Zipf(theta=0) is uniform.
-  std::vector<int> flat(10, 0);
-  for (int i = 0; i < 20000; ++i) flat[rng.Zipf(10, 0.0)]++;
-  EXPECT_NEAR(flat[0], 2000, 300);
-}
-
 TEST(RngTest, SampleWithoutReplacementDistinct) {
   Rng rng(41);
   for (int trial = 0; trial < 20; ++trial) {

@@ -69,7 +69,9 @@ TEST(StatsTest, MomentsOfCodesMatchDoublesBitForBit) {
   std::vector<int32_t> codes;
   for (int i = 0; i < 997; ++i) codes.push_back((i * 7919) % 1013 - 300);
   std::vector<double> wide(codes.begin(), codes.end());
-  stats::Moments a = stats::MomentsOf(codes);
+  const std::span<const int32_t> column(codes);
+  stats::Moments a;
+  stats::MomentsOfColumns({&column, 1}, {&a, 1});
   stats::Moments b = stats::MomentsOf(wide);
   for (auto field : {&stats::Moments::mean, &stats::Moments::stddev,
                      &stats::Moments::skewness, &stats::Moments::kurtosis,

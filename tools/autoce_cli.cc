@@ -71,7 +71,7 @@
 // policy has evicted; `fss inspect` additionally lists the store's
 // generations and the most-observed entries (`--limit`, default 20).
 // `version --fss-store DIR` reports the store in the
-// version/run-manifest output alongside budgets and the chaos seed.
+// version/run-manifest output alongside the budgets.
 //
 // `dyn` drives the dynamic-data subsystem (DESIGN.md §5.14): `dyn gen`
 // writes a regime-tagged corpus (the CardBench-style grid over table
@@ -91,10 +91,16 @@
 // run manifest (config, seed, git describe, wall time, final metrics).
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <dirent.h>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <cinttypes>
@@ -111,7 +117,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
-#include "util/chaos.h"
 #include "util/fault.h"
 #include "util/parallel.h"
 #include "util/serde.h"
@@ -121,6 +126,11 @@
 
 namespace autoce {
 namespace {
+
+/// A flag value no command can use. `main` prints it and exits 2.
+struct FlagError {
+  std::string message;
+};
 
 struct Args {
   std::vector<std::string> positional;
@@ -139,15 +149,61 @@ struct Args {
     }
     return fallback;
   }
-  int64_t GetInt(const std::string& name, int64_t fallback) const {
+  /// The value of --name as a T, or `fallback` when the flag is absent
+  /// or empty. Throws FlagError unless the whole value is a base-10
+  /// integer that T holds and that is at least `lo`.
+  template <typename T = int64_t>
+  T GetInt(const std::string& name, std::type_identity_t<T> fallback,
+           std::type_identity_t<T> lo = std::numeric_limits<T>::min()) const {
     std::string v = Get(name);
-    return v.empty() ? fallback : std::stoll(v);
+    if (v.empty()) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    long long x = std::strtoll(v.c_str(), &end, 10);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
+        !std::in_range<T>(x) || static_cast<T>(x) < lo) {
+      throw FlagError{BadValue(name, v, "an integer in range")};
+    }
+    return static_cast<T>(x);
   }
+  /// The value of --name, or `fallback` when the flag is absent or
+  /// empty. Throws FlagError unless the whole value is a finite number.
   double GetDouble(const std::string& name, double fallback) const {
     std::string v = Get(name);
-    return v.empty() ? fallback : std::stod(v);
+    if (v.empty()) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    double x = std::strtod(v.c_str(), &end);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(x)) {
+      throw FlagError{BadValue(name, v, "a finite number")};
+    }
+    return x;
+  }
+
+  static std::string BadValue(const std::string& name, const std::string& v,
+                              const char* what) {
+    std::string msg = "--";
+    msg += name;
+    msg += ": '";
+    msg += v;
+    msg += "' is not ";
+    msg += what;
+    return msg;
   }
 };
+
+/// Throws FlagError when --min-<what> is above --max-<what> (either may
+/// be its default).
+void CheckMinMax(const char* what, int64_t lo, int64_t hi) {
+  if (lo <= hi) return;
+  std::string msg = "--min-";
+  msg += what;
+  msg += " (" + std::to_string(lo) + ") is above --max-";
+  msg += what;
+  msg += " (" + std::to_string(hi) + ")";
+  throw FlagError{msg};
+}
 
 Args Parse(int argc, char** argv) {
   Args out;
@@ -188,12 +244,14 @@ int CmdGenerate(const Args& args) {
     std::fprintf(stderr, "generate: --out DIR is required\n");
     return 2;
   }
-  int count = static_cast<int>(args.GetInt("count", 100));
+  int count = args.GetInt<int>("count", 100, 1);
   data::DatasetGenParams gen;
-  gen.min_tables = static_cast<int>(args.GetInt("min-tables", 1));
-  gen.max_tables = static_cast<int>(args.GetInt("max-tables", 5));
-  gen.min_rows = args.GetInt("min-rows", 600);
-  gen.max_rows = args.GetInt("max-rows", 1500);
+  gen.min_tables = args.GetInt<int>("min-tables", 1, 1);
+  gen.max_tables = args.GetInt<int>("max-tables", 5, 1);
+  gen.min_rows = args.GetInt("min-rows", 600, 1);
+  gen.max_rows = args.GetInt("max-rows", 1500, 1);
+  CheckMinMax("tables", gen.min_tables, gen.max_tables);
+  CheckMinMax("rows", gen.min_rows, gen.max_rows);
   gen.min_columns = 1;
   gen.max_columns = 6;
   gen.min_domain = 20;
@@ -273,10 +331,8 @@ int CmdTrain(const Args& args) {
   std::printf("labeling %zu datasets (trains 7 CE models each)...\n",
               datasets.size());
   ce::TestbedConfig testbed;
-  testbed.num_train_queries =
-      static_cast<int>(args.GetInt("train-queries", 200));
-  testbed.num_test_queries =
-      static_cast<int>(args.GetInt("test-queries", 80));
+  testbed.num_train_queries = args.GetInt<int>("train-queries", 200);
+  testbed.num_test_queries = args.GetInt<int>("test-queries", 80);
   featgraph::FeatureExtractor extractor;
   Timer timer;
   auto corpus = advisor::LabelCorpus(std::move(datasets), testbed, extractor,
@@ -285,7 +341,7 @@ int CmdTrain(const Args& args) {
               timer.ElapsedSeconds());
 
   advisor::AutoCeConfig config;
-  config.dml.epochs = static_cast<int>(args.GetInt("epochs", 40));
+  config.dml.epochs = args.GetInt<int>("epochs", 40);
   advisor::AutoCe advisor(config);
   if (!snapshot_dir.empty()) {
     Status st = advisor.EnableSnapshots(snapshot_dir);
@@ -381,11 +437,11 @@ int CmdServe(const Args& args) {
   }
   serve::ServerConfig config;
   config.max_batch = static_cast<size_t>(batch);
-  config.queue_capacity = static_cast<size_t>(args.GetInt("queue", 64));
+  config.queue_capacity = args.GetInt<size_t>("queue", 64);
   config.request_deadline_ms = args.GetDouble("deadline-ms", 0.0);
   util::SnapshotStoreOptions store_options;
   store_options.disk_budget_bytes =
-      static_cast<uint64_t>(args.GetInt("disk-budget-bytes", 0));
+      args.GetInt<uint64_t>("disk-budget-bytes", 0);
 
   std::unique_ptr<serve::AdvisorServer> server;
   if (!args.Get("snapshot-dir").empty()) {
@@ -580,10 +636,8 @@ int CmdAdaptRequeue(const Args& args) {
   }
   adapt::AdaptationConfig config;
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  config.testbed.num_train_queries =
-      static_cast<int>(args.GetInt("train-queries", 200));
-  config.testbed.num_test_queries =
-      static_cast<int>(args.GetInt("test-queries", 80));
+  config.testbed.num_train_queries = args.GetInt<int>("train-queries", 200);
+  config.testbed.num_test_queries = args.GetInt<int>("test-queries", 80);
   auto opened = adapt::AdaptationPipeline::Open(store_dir, /*server=*/nullptr,
                                                 config);
   if (!opened.ok()) {
@@ -669,18 +723,16 @@ int CmdAdapt(const Args& args) {
   std::unique_ptr<serve::AdvisorServer> server = std::move(*opened);
 
   adapt::AdaptationConfig config;
-  config.queue_capacity = static_cast<size_t>(args.GetInt("queue", 64));
+  config.queue_capacity = args.GetInt<size_t>("queue", 64);
   config.batch_size = static_cast<size_t>(batch);
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  config.testbed.num_train_queries =
-      static_cast<int>(args.GetInt("train-queries", 200));
-  config.testbed.num_test_queries =
-      static_cast<int>(args.GetInt("test-queries", 80));
+  config.testbed.num_train_queries = args.GetInt<int>("train-queries", 200);
+  config.testbed.num_test_queries = args.GetInt<int>("test-queries", 80);
   config.label_budget_ms_per_batch = args.GetDouble("label-budget-ms", 0.0);
-  config.num_workers = static_cast<int>(args.GetInt("workers", 1));
+  config.num_workers = args.GetInt<int>("workers", 1);
   util::SnapshotStoreOptions store_options;
   store_options.disk_budget_bytes =
-      static_cast<uint64_t>(args.GetInt("disk-budget-bytes", 0));
+      args.GetInt<uint64_t>("disk-budget-bytes", 0);
   auto opened_pipeline = adapt::AdaptationPipeline::Open(
       store_dir, server.get(), config, store_options);
   if (!opened_pipeline.ok()) {
@@ -925,7 +977,7 @@ int CmdFss(const Args& args) {
     std::printf(" %" PRIu64, g);
   }
   std::printf("\n");
-  size_t limit = static_cast<size_t>(args.GetInt("limit", 20));
+  size_t limit = args.GetInt<size_t>("limit", 20);
   std::stable_sort(entries.begin(), entries.end(),
                    [](const auto& a, const auto& b) {
                      return a.second.observations > b.second.observations;
@@ -949,10 +1001,11 @@ int CmdDynGen(const Args& args) {
     std::fprintf(stderr, "dyn gen: --out DIR is required\n");
     return 2;
   }
-  int per_cell = static_cast<int>(args.GetInt("per-cell", 1));
+  int per_cell = args.GetInt<int>("per-cell", 1, 1);
   data::DatasetGenParams base;
-  base.min_rows = args.GetInt("min-rows", 200);
-  base.max_rows = args.GetInt("max-rows", 500);
+  base.min_rows = args.GetInt("min-rows", 200, 1);
+  base.max_rows = args.GetInt("max-rows", 500, 1);
+  CheckMinMax("rows", base.min_rows, base.max_rows);
   base.min_columns = 2;
   base.max_columns = 4;
   dyn::RegimeAxes axes;
@@ -987,7 +1040,7 @@ int CmdDynStep(const Args& args) {
   }
   dyn::MutationConfig cfg;
   cfg.intensity = args.GetDouble("intensity", 1.0);
-  int epochs = static_cast<int>(args.GetInt("epochs", 1));
+  int epochs = args.GetInt<int>("epochs", 1);
   auto report = dyn::ApplyEpochs(&*ds, cfg, epochs);
   if (!report.ok()) {
     std::fprintf(stderr, "dyn step: %s\n", report.status().ToString().c_str());
@@ -1055,12 +1108,6 @@ int CmdVersion(const Args& args) {
   std::printf("  threads        : %d\n", util::GlobalParallelism());
   std::printf("  fault sites    : %zu\n", util::AllFaultSites().size());
   std::printf("  kill sites     : %zu\n", util::AllKillSites().size());
-  uint64_t chaos_seed = util::ActiveChaosSeed();
-  if (chaos_seed != 0) {
-    std::printf("  chaos seed     : %" PRIu64 "\n", chaos_seed);
-  } else {
-    std::printf("  chaos seed     : (none)\n");
-  }
   double deadline_ms = args.GetDouble("deadline-ms", 0.0);
   double label_budget = args.GetDouble("label-budget-ms", 0.0);
   int64_t disk_budget = args.GetInt("disk-budget-bytes", 0);
@@ -1133,10 +1180,8 @@ int Main(int argc, char** argv) {
         .AddString("simd_selected",
                    util::simd::LevelName(util::simd::ActiveLevel()))
         .AddDouble("wall_seconds", wall.ElapsedSeconds())
-        // Resource budgets + chaos arming, so a soak/chaos run is
-        // reproducible from its manifest alone.
-        .AddInt("chaos_seed",
-                static_cast<int64_t>(util::ActiveChaosSeed()))
+        // Resource budgets, so a budgeted run is reproducible from its
+        // manifest alone.
         .AddDouble("request_deadline_ms", args.GetDouble("deadline-ms", 0.0))
         .AddDouble("label_budget_ms_per_batch",
                    args.GetDouble("label-budget-ms", 0.0))
@@ -1177,4 +1222,11 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace autoce
 
-int main(int argc, char** argv) { return autoce::Main(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return autoce::Main(argc, argv);
+  } catch (const autoce::FlagError& e) {
+    std::fprintf(stderr, "autoce: %s\n", e.message.c_str());
+    return 2;
+  }
+}
