@@ -12,7 +12,6 @@
 #include "obs/trace.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/serde.h"
 #include "util/stats.h"
 #include "util/timer.h"
@@ -46,6 +45,39 @@ struct FitMetrics {
     return m;
   }
 };
+
+/// Eq. 13's vote: the members' score vectors at `w`, added in member
+/// order.
+std::vector<double> SumScores(const std::vector<DatasetLabel>& labels,
+                              const std::vector<size_t>& members, double w) {
+  std::vector<double> sum(ce::kNumModels, 0.0);
+  for (size_t j : members) {
+    auto s = labels[j].ScoreVector(w);
+    for (size_t m = 0; m < sum.size(); ++m) sum[m] += s[m];
+  }
+  return sum;
+}
+
+/// The model with the largest score; ties go to the lower model id.
+ce::ModelId ArgMax(const std::vector<double>& scores) {
+  size_t best = 0;
+  for (size_t m = 1; m < scores.size(); ++m) {
+    if (scores[m] > scores[best]) best = m;
+  }
+  return static_cast<ce::ModelId>(best);
+}
+
+/// The recommendation of the members' mean score vector at `w_a`.
+AutoCe::Recommendation Vote(const std::vector<DatasetLabel>& labels,
+                            const std::vector<size_t>& members, double w_a) {
+  AutoCe::Recommendation rec;
+  rec.score_vector = SumScores(labels, members, w_a);
+  for (double& v : rec.score_vector) {
+    v /= static_cast<double>(std::max<size_t>(1, members.size()));
+  }
+  rec.model = ArgMax(rec.score_vector);
+  return rec;
+}
 
 }  // namespace
 
@@ -269,21 +301,12 @@ double AutoCe::HoldOutDError(const std::vector<size_t>& val_idx) const {
   int count = 0;
   for (size_t i : val_idx) {
     if (i >= graphs_.size() || !embedding_ok_[i]) continue;
-    auto hits = knn_index_.Query(embeddings_[i],
-                                 static_cast<size_t>(config_.knn_k),
-                                 /*exclude=*/SIZE_MAX, &allowed);
-    if (hits.empty()) continue;
+    auto nn = NearestNeighbors(embeddings_[i],
+                               static_cast<size_t>(config_.knn_k),
+                               /*exclude=*/SIZE_MAX, &allowed);
+    if (nn.empty()) continue;
     for (double w : config_.training_weights) {
-      std::vector<double> avg(ce::kNumModels, 0.0);
-      for (const knn::Neighbor& nb : hits) {
-        auto s = labels_[nb.index].ScoreVector(w);
-        for (size_t m = 0; m < avg.size(); ++m) avg[m] += s[m];
-      }
-      size_t best = 0;
-      for (size_t m = 1; m < avg.size(); ++m) {
-        if (avg[m] > avg[best]) best = m;
-      }
-      total += labels_[i].DError(static_cast<ce::ModelId>(best), w);
+      total += labels_[i].DError(ArgMax(SumScores(labels_, nn, w)), w);
       ++count;
     }
   }
@@ -301,13 +324,10 @@ void AutoCe::RefreshEmbeddings() {
                  embeddings_.size() <= graphs_.size())
                     ? embeddings_.size()
                     : 0;
-  // Embedding is a read-only scan of the encoder; each graph embeds
-  // into its own slot.
-  auto tail = util::ParallelMap(
-      keep, graphs_.size(), 1,
-      [&](size_t i) { return encoder_->Embed(graphs_[i]); });
+  std::vector<const featgraph::FeatureGraph*> tail;
+  for (size_t i = keep; i < graphs_.size(); ++i) tail.push_back(&graphs_[i]);
   embeddings_.resize(keep);
-  for (auto& e : tail) embeddings_.push_back(std::move(e));
+  for (auto& e : encoder_->EmbedBatch(tail)) embeddings_.push_back(std::move(e));
   embedding_ok_.assign(embeddings_.size(), 1);
   for (size_t i = 0; i < embeddings_.size(); ++i) {
     embedding_ok_[i] =
@@ -322,11 +342,8 @@ void AutoCe::RefreshDriftThreshold() {
   std::vector<double> nn_dist;
   for (size_t i = 0; i < embeddings_.size(); ++i) {
     if (!embedding_ok_[i]) continue;
-    auto nn = NearestNeighbors(embeddings_[i], 1, /*exclude=*/i);
-    if (!nn.empty()) {
-      nn_dist.push_back(
-          nn::EuclideanDistance(embeddings_[i], embeddings_[nn[0]]));
-    }
+    auto hits = knn_index_.Query(embeddings_[i], 1, /*exclude=*/i);
+    if (!hits.empty()) nn_dist.push_back(hits[0].distance);
   }
   drift_threshold_ = stats::Percentile(nn_dist, config_.drift_percentile);
 }
@@ -339,10 +356,11 @@ std::vector<double> AutoCe::BuildDmlLabel(const DatasetLabel& label) const {
 }
 
 std::vector<size_t> AutoCe::NearestNeighbors(
-    const std::vector<double>& embedding, size_t k, size_t exclude) const {
+    const std::vector<double>& embedding, size_t k, size_t exclude,
+    const std::vector<char>* allowed) const {
   // KNN retrieval (Eq. 13) through the shared index; unusable members
   // and ties are handled by its (distance, index) ordering contract.
-  auto hits = knn_index_.Query(embedding, k, exclude);
+  auto hits = knn_index_.Query(embedding, k, exclude, allowed);
   std::vector<size_t> out;
   out.reserve(hits.size());
   for (const knn::Neighbor& nb : hits) out.push_back(nb.index);
@@ -373,16 +391,7 @@ Status AutoCe::RunIncrementalLearning() {
     // Mean D-error across the supported weight combinations.
     double d_err = 0.0;
     for (double w : config_.training_weights) {
-      std::vector<double> avg(ce::kNumModels, 0.0);
-      for (size_t j : nn) {
-        auto s = labels_[j].ScoreVector(w);
-        for (size_t m = 0; m < avg.size(); ++m) avg[m] += s[m];
-      }
-      size_t best = 0;
-      for (size_t m = 1; m < avg.size(); ++m) {
-        if (avg[m] > avg[best]) best = m;
-      }
-      d_err += labels_[idx].DError(static_cast<ce::ModelId>(best), w);
+      d_err += labels_[idx].DError(ArgMax(SumScores(labels_, nn, w)), w);
     }
     d_err /= static_cast<double>(config_.training_weights.size());
     (d_err > config_.d_error_threshold ? feedback : reference).push_back(idx);
@@ -448,35 +457,17 @@ std::vector<std::vector<double>> AutoCe::EmbedBatch(
   return encoder_->EmbedBatch(graphs);
 }
 
-AutoCe::Recommendation AutoCe::FallbackRecommendation(
-    double w_a, std::string reason) const {
+AutoCe::Recommendation AutoCe::CorpusDefault(double w_a,
+                                             std::string reason) const {
   // The same default the drift detector hands an out-of-distribution
   // dataset: ignore the (unusable) embedding geometry and pick the
   // model that scores best on average over the whole RCS.
-  Recommendation rec;
+  std::vector<size_t> all(labels_.size());
+  std::iota(all.begin(), all.end(), 0);
+  Recommendation rec = Vote(labels_, all, w_a);
   rec.degraded = true;
   rec.degraded_reason = std::move(reason);
-  rec.score_vector.assign(ce::kNumModels, 0.0);
-  for (const auto& label : labels_) {
-    auto s = label.ScoreVector(w_a);
-    for (size_t m = 0; m < rec.score_vector.size(); ++m) {
-      rec.score_vector[m] += s[m];
-    }
-  }
-  for (double& v : rec.score_vector) {
-    v /= static_cast<double>(std::max<size_t>(1, labels_.size()));
-  }
-  size_t best = 0;
-  for (size_t m = 1; m < rec.score_vector.size(); ++m) {
-    if (rec.score_vector[m] > rec.score_vector[best]) best = m;
-  }
-  rec.model = static_cast<ce::ModelId>(best);
   return rec;
-}
-
-AutoCe::Recommendation AutoCe::CorpusDefault(double w_a,
-                                             std::string reason) const {
-  return FallbackRecommendation(w_a, std::move(reason));
 }
 
 Result<AutoCe::Recommendation> AutoCe::Recommend(
@@ -505,30 +496,12 @@ Result<AutoCe::Recommendation> AutoCe::RecommendFromEmbedding(
               std::numeric_limits<double>::quiet_NaN());
   }
   if (!nn::IsFinite(std::span<const double>(embedding))) {
-    return FallbackRecommendation(w_a, "non-finite target embedding");
+    return CorpusDefault(w_a, "non-finite target embedding");
   }
   auto nn = NearestNeighbors(embedding, static_cast<size_t>(config_.knn_k));
-  if (nn.empty()) {
-    return FallbackRecommendation(w_a, "no usable RCS embedding");
-  }
-
-  Recommendation rec;
-  rec.neighbors = nn;
-  rec.score_vector.assign(ce::kNumModels, 0.0);
-  for (size_t j : nn) {
-    auto s = labels_[j].ScoreVector(w_a);
-    for (size_t m = 0; m < rec.score_vector.size(); ++m) {
-      rec.score_vector[m] += s[m];
-    }
-  }
-  for (double& v : rec.score_vector) {
-    v /= static_cast<double>(nn.size());
-  }
-  size_t best = 0;
-  for (size_t m = 1; m < rec.score_vector.size(); ++m) {
-    if (rec.score_vector[m] > rec.score_vector[best]) best = m;
-  }
-  rec.model = static_cast<ce::ModelId>(best);
+  if (nn.empty()) return CorpusDefault(w_a, "no usable RCS embedding");
+  Recommendation rec = Vote(labels_, nn, w_a);
+  rec.neighbors = std::move(nn);
   return rec;
 }
 
@@ -540,15 +513,12 @@ Result<AutoCe::Recommendation> AutoCe::RecommendDataset(
 
 double AutoCe::DistanceToRcs(const featgraph::FeatureGraph& graph) const {
   AUTOCE_CHECK(encoder_ != nullptr && !embeddings_.empty());
-  auto embedding = encoder_->Embed(graph);
-  if (!nn::IsFinite(std::span<const double>(embedding))) {
-    // A dataset we cannot even embed is by definition out of
-    // distribution; infinity trips every drift threshold.
-    return std::numeric_limits<double>::infinity();
-  }
-  auto nn = NearestNeighbors(embedding, 1);
-  if (nn.empty()) return std::numeric_limits<double>::infinity();
-  return nn::EuclideanDistance(embedding, embeddings_[nn[0]]);
+  // A dataset we cannot even embed retrieves nothing (the index skips
+  // non-finite queries), so it reads as infinitely far: out of
+  // distribution by every drift threshold.
+  auto hits = knn_index_.Query(encoder_->Embed(graph), 1);
+  if (hits.empty()) return std::numeric_limits<double>::infinity();
+  return hits[0].distance;
 }
 
 bool AutoCe::IsOutOfDistribution(

@@ -264,10 +264,6 @@ class AutoCe {
   Status ValidateSample(const featgraph::FeatureGraph& graph,
                         const DatasetLabel& label, size_t index) const;
 
-  /// The corpus-level fallback: argmax of the mean RCS score vector.
-  Recommendation FallbackRecommendation(double w_a,
-                                        std::string reason) const;
-
   /// Mean D-error of the held-out validation members under KNN over the
   /// non-validation RCS (averaged over the supported weights) — the
   /// checkpointing signal of Fit.
@@ -294,9 +290,10 @@ class AutoCe {
   std::vector<util::SnapshotSection> BuildSnapshotSections() const;
   static Result<AutoCe> FromSnapshotSections(
       const std::vector<util::SnapshotSection>& sections);
-  std::vector<size_t> NearestNeighbors(const std::vector<double>& embedding,
-                                       size_t k,
-                                       size_t exclude = SIZE_MAX) const;
+  std::vector<size_t> NearestNeighbors(
+      const std::vector<double>& embedding, size_t k,
+      size_t exclude = SIZE_MAX,
+      const std::vector<char>* allowed = nullptr) const;
 
   AutoCeConfig config_;
   featgraph::FeatureExtractor extractor_;

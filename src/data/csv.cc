@@ -175,6 +175,28 @@ Result<Table> LoadCsvTable(const std::string& path,
           col.values.push_back(static_cast<int32_t>(v - min_v + 1));
         }
       }
+    } else if (all_int) {
+      // Too wide to shift: code each value by its rank among the
+      // distinct present values, ascending; missing values -> 1.
+      std::vector<int64_t> distinct;
+      for (const auto& row : raw) {
+        int64_t v;
+        if (!row[c].empty() && ParseInt(row[c], &v)) distinct.push_back(v);
+      }
+      std::sort(distinct.begin(), distinct.end());
+      distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                     distinct.end());
+      col.domain_size = static_cast<int32_t>(distinct.size());
+      for (const auto& row : raw) {
+        int64_t v;
+        if (row[c].empty() || !ParseInt(row[c], &v)) {
+          col.values.push_back(1);
+        } else {
+          auto rank = std::lower_bound(distinct.begin(), distinct.end(), v) -
+                      distinct.begin();
+          col.values.push_back(static_cast<int32_t>(rank + 1));
+        }
+      }
     } else {
       // Dictionary encoding by first appearance.
       std::unordered_map<std::string, int32_t> dict;
@@ -184,11 +206,11 @@ Result<Table> LoadCsvTable(const std::string& path,
         col.values.push_back(it->second);
       }
       col.domain_size = static_cast<int32_t>(dict.size());
-      if (col.domain_size > options.max_domain) {
-        return Status::InvalidArgument(
-            "column " + col.name + " exceeds max_domain (" +
-            std::to_string(dict.size()) + " distinct values)");
-      }
+    }
+    if (col.domain_size > options.max_domain) {
+      return Status::InvalidArgument(
+          "column " + col.name + " exceeds max_domain (" +
+          std::to_string(col.domain_size) + " distinct values)");
     }
     table.columns.push_back(std::move(col));
   }

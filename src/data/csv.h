@@ -15,10 +15,11 @@ struct CsvOptions {
   bool has_header = true;
   /// Name given to the loaded table (defaults to the file stem).
   std::string table_name;
-  /// Values are dictionary-encoded per column in order of first
-  /// appearance when non-numeric; numeric columns are value-coded after
-  /// shifting into [1, domain]. Columns with more distinct values than
-  /// this are quantile-bucketed instead.
+  /// Integer columns keep value order: one whose values span fewer than
+  /// this many integers is shifted into [1, max - min + 1], a wider one
+  /// is coded by the rank of each value among its distinct values.
+  /// Other columns are dictionary-encoded in order of first appearance.
+  /// A column with more distinct values than this fails the load.
   int32_t max_domain = 100000;
   /// When true, malformed rows (wrong field count, control characters,
   /// injected faults) are dropped and reported through `CsvReport`
@@ -51,9 +52,10 @@ struct CsvReport {
 ///
 /// AutoCE operates on integer-coded columns (see data/dataset.h); this
 /// loader brings external data into that representation: integer columns
-/// are shifted to [1, max-min+1] (preserving order, so range predicates
-/// remain meaningful), everything else is dictionary-encoded by first
-/// appearance. Missing values become code 1.
+/// keep value order, so range predicates remain meaningful (see
+/// `CsvOptions::max_domain`), and everything else is dictionary-encoded
+/// by first appearance. A missing value in an integer column becomes
+/// code 1; in any other column it is one more dictionary entry.
 ///
 /// Malformed rows never abort the process: in strict mode (default) the
 /// load fails with a Status carrying the first `max_errors` row/column

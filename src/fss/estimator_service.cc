@@ -24,20 +24,7 @@ EstimatorService::EstimatorService(
     : options_(options),
       dataset_(dataset),
       histogram_(dataset),
-      model_(std::move(model)) {
-  std::size_t shards = options_.cache_shards == 0 ? 1 : options_.cache_shards;
-  if (options_.cache_capacity > 0 && shards > options_.cache_capacity) {
-    shards = options_.cache_capacity;
-  }
-  shard_capacity_ =
-      options_.cache_capacity == 0
-          ? 0
-          : (options_.cache_capacity + shards - 1) / shards;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<CacheShard>());
-  }
-}
+      model_(std::move(model)) {}
 
 Result<std::unique_ptr<EstimatorService>> EstimatorService::Open(
     const std::string& store_dir,
@@ -65,16 +52,11 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Open(
   return service;
 }
 
-EstimatorService::CacheShard& EstimatorService::ShardFor(const FssKey& key) {
-  return *shards_[key.literal_hash % shards_.size()];
-}
-
 std::optional<double> EstimatorService::CacheLookup(const FssKey& key) {
-  if (shard_capacity_ == 0) return std::nullopt;
-  CacheShard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key.literal_hash);
-  if (it == shard.entries.end()) return std::nullopt;
+  if (options_.cache_capacity == 0) return std::nullopt;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  auto it = cache_.find(key.literal_hash);
+  if (it == cache_.end()) return std::nullopt;
   if (it->second.first != key.signature) {
     counters_.collisions.Add();
     return std::nullopt;
@@ -83,25 +65,23 @@ std::optional<double> EstimatorService::CacheLookup(const FssKey& key) {
 }
 
 void EstimatorService::CacheInsert(const FssKey& key, double estimate) {
-  if (shard_capacity_ == 0) return;
-  CacheShard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key.literal_hash);
-  if (it != shard.entries.end()) {
+  if (options_.cache_capacity == 0) return;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  auto it = cache_.find(key.literal_hash);
+  if (it != cache_.end()) {
     // Occupied: refresh on signature match, refuse on collision (the
     // resident entry keeps its slot; both subplans still get correct
     // answers, just not from this cache).
     if (it->second.first == key.signature) it->second.second = estimate;
     return;
   }
-  while (shard.entries.size() >= shard_capacity_ && !shard.fifo.empty()) {
-    shard.entries.erase(shard.fifo.front());
-    shard.fifo.pop_front();
+  while (cache_.size() >= options_.cache_capacity && !cache_fifo_.empty()) {
+    cache_.erase(cache_fifo_.front());
+    cache_fifo_.pop_front();
     counters_.evictions.Add();
   }
-  shard.entries.emplace(key.literal_hash,
-                        std::make_pair(key.signature, estimate));
-  shard.fifo.push_back(key.literal_hash);
+  cache_.emplace(key.literal_hash, std::make_pair(key.signature, estimate));
+  cache_fifo_.push_back(key.literal_hash);
 }
 
 double EstimatorService::EstimateSubplan(const query::Query& q) {
@@ -248,11 +228,9 @@ Status EstimatorService::CommitKnowledge() {
 }
 
 void EstimatorService::ClearCache() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->entries.clear();
-    shard->fifo.clear();
-  }
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  cache_.clear();
+  cache_fifo_.clear();
 }
 
 ServiceStats EstimatorService::stats() const {

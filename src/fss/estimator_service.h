@@ -29,12 +29,8 @@ inline constexpr const char* kKnowledgeSection = "fss_knowledge";
 
 /// Service knobs.
 struct EstimatorServiceOptions {
-  /// Total cached subplan estimates across all shards (0 disables the
-  /// cache). Each shard holds capacity / shards entries.
+  /// Cached subplan estimates (0 disables the cache).
   std::size_t cache_capacity = 4096;
-  /// Number of cache shards (clamped to >= 1); subplans hash-route to a
-  /// shard so concurrent lookups rarely contend on one mutex.
-  std::size_t cache_shards = 8;
   /// Knowledge-aging window: on `NotifyEpoch(e)` entries last observed
   /// before `e - max_age_epochs` are evicted. 0 disables aging.
   uint64_t max_age_epochs = 0;
@@ -83,8 +79,8 @@ using DriftDisagreementHook =
 ///      subplans whose TRUE cardinality was observed via executor
 ///      feedback (`ObserveTrueCardinality`), so repeated subplans are
 ///      answered from corrected knowledge, not raw model output;
-///   2. a bounded, sharded FSS-keyed cache of model estimates with
-///      deterministic FIFO eviction per shard;
+///   2. a bounded FSS-keyed cache of model estimates with deterministic
+///      FIFO eviction;
 ///   3. the hosted model, re-seeded per subplan with a content-derived
 ///      key (`SeedInference`) so its estimate is a pure function of
 ///      (weights, seed, subplan) regardless of concurrent call order.
@@ -96,8 +92,8 @@ using DriftDisagreementHook =
 /// gated by the `fss.commit` fault site); reopening a store directory
 /// warm-starts the knowledge tier.
 ///
-/// Thread-safe: knowledge, each cache shard, and the model are guarded
-/// by separate mutexes. Because every tier's answer for a subplan is
+/// Thread-safe: knowledge, the cache, and the model are guarded by
+/// separate mutexes. Because every tier's answer for a subplan is
 /// the same pure function of content, concurrent traffic cannot change
 /// WHAT is answered, only which tier answers it.
 class EstimatorService : public engine::CardinalitySource {
@@ -152,19 +148,10 @@ class EstimatorService : public engine::CardinalitySource {
   std::size_t knowledge_size() const;
 
  private:
-  /// One bounded cache shard: map + FIFO insertion queue.
-  struct CacheShard {
-    std::mutex mu;
-    /// literal_hash -> (signature, estimate); signature checked on hit.
-    std::unordered_map<uint64_t, std::pair<std::string, double>> entries;
-    std::deque<uint64_t> fifo;
-  };
-
   EstimatorService(std::unique_ptr<ce::CardinalityEstimator> model,
                    const data::Dataset* dataset,
                    EstimatorServiceOptions options);
 
-  CacheShard& ShardFor(const FssKey& key);
   std::optional<double> CacheLookup(const FssKey& key);
   void CacheInsert(const FssKey& key, double estimate);
 
@@ -182,8 +169,12 @@ class EstimatorService : public engine::CardinalitySource {
   KnowledgeStore knowledge_;  // guarded by knowledge_mu_
   uint64_t epoch_ = 0;        // last NotifyEpoch; guarded by knowledge_mu_
 
-  std::size_t shard_capacity_ = 0;
-  std::vector<std::unique_ptr<CacheShard>> shards_;
+  /// The estimate cache, guarded by cache_mu_: literal_hash ->
+  /// (signature, estimate) with the signature checked on hit, and the
+  /// FIFO insertion queue.
+  std::mutex cache_mu_;
+  std::unordered_map<uint64_t, std::pair<std::string, double>> cache_;
+  std::deque<uint64_t> cache_fifo_;
 
   /// The ServiceStats counters.
   struct Counters {

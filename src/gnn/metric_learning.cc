@@ -7,7 +7,6 @@
 #include "nn/optimizer.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace autoce::gnn {
 
@@ -32,75 +31,70 @@ Result<double> DmlTrainer::TrainBatch(
   if (m < 2) return 0.0;
   size_t d = encoder_->embedding_dim();
 
-  // Embeddings with traces (one forward per graph; shared parameters
-  // are read-only during the forwards, so graphs embed in parallel into
-  // index-addressed slots).
+  // Embeddings with traces (one forward per graph).
   std::vector<GinTrace> traces(m);
   std::vector<nn::Matrix> x(m);
-  util::ParallelFor(0, m, 1, [&](size_t i) {
-    x[i] = encoder_->Forward(*batch[i], &traces[i]);
-  });
+  for (size_t i = 0; i < m; ++i) x[i] = encoder_->Forward(*batch[i], &traces[i]);
 
-  // Pairwise similarities (Eq. 6) and distances (Eq. 8); row i of both
-  // matrices is owned by task i.
-  std::vector<std::vector<double>> sim(m, std::vector<double>(m, 0.0));
-  std::vector<std::vector<double>> u(m, std::vector<double>(m, 0.0));
-  util::ParallelFor(0, m, 1, [&](size_t i) {
+  // Pairwise similarities (Eq. 6) and distances (Eq. 8).
+  nn::Matrix sim(m, m);
+  nn::Matrix u(m, m);
+  for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < m; ++j) {
       if (i == j) continue;
-      sim[i][j] = PerformanceSimilarity(*labels[i], *labels[j]);
-      u[i][j] = nn::EuclideanDistance(x[i].RowSpan(0), x[j].RowSpan(0));
+      sim(i, j) = PerformanceSimilarity(*labels[i], *labels[j]);
+      u(i, j) = nn::EuclideanDistance(x[i].RowSpan(0), x[j].RowSpan(0));
     }
-  });
+  }
 
   double loss = 0.0;
   // dL/dU for every ordered pair (anchor i, instance j).
-  std::vector<std::vector<double>> du(m, std::vector<double>(m, 0.0));
+  nn::Matrix du(m, m);
   double inv_m = 1.0 / static_cast<double>(m);
 
   for (size_t i = 0; i < m; ++i) {
     std::vector<size_t> pos, neg;
     for (size_t j = 0; j < m; ++j) {
       if (j == i) continue;
-      (sim[i][j] >= config_.tau ? pos : neg).push_back(j);
+      (sim(i, j) >= config_.tau ? pos : neg).push_back(j);
     }
     if (config_.loss == ContrastiveLoss::kBasic) {
       // Eq. 10: sum of positive distances minus sum of negative distances.
       for (size_t j : pos) {
-        loss += inv_m * u[i][j];
-        du[i][j] += inv_m;
+        loss += inv_m * u(i, j);
+        du(i, j) += inv_m;
       }
       for (size_t j : neg) {
-        loss -= inv_m * u[i][j];
-        du[i][j] -= inv_m;
+        loss -= inv_m * u(i, j);
+        du(i, j) -= inv_m;
       }
       continue;
     }
     // Eq. 9, positive term: log sum_k exp(U_ik + Sim_ik).
     if (!pos.empty()) {
       double mx = -1e300;
-      for (size_t j : pos) mx = std::max(mx, u[i][j] + sim[i][j]);
+      for (size_t j : pos) mx = std::max(mx, u(i, j) + sim(i, j));
       double z = 0.0;
-      for (size_t j : pos) z += std::exp(u[i][j] + sim[i][j] - mx);
+      for (size_t j : pos) z += std::exp(u(i, j) + sim(i, j) - mx);
       loss += inv_m * (mx + std::log(z));
       for (size_t j : pos) {
-        du[i][j] += inv_m * std::exp(u[i][j] + sim[i][j] - mx) / z;
+        du(i, j) += inv_m * std::exp(u(i, j) + sim(i, j) - mx) / z;
       }
     }
     // Eq. 9, negative term: log sum_k exp(gamma - U_ik - Sim_ik).
     if (!neg.empty()) {
       double mx = -1e300;
       for (size_t j : neg) {
-        mx = std::max(mx, config_.gamma - u[i][j] - sim[i][j]);
+        mx = std::max(mx, config_.gamma - u(i, j) - sim(i, j));
       }
       double z = 0.0;
       for (size_t j : neg) {
-        z += std::exp(config_.gamma - u[i][j] - sim[i][j] - mx);
+        z += std::exp(config_.gamma - u(i, j) - sim(i, j) - mx);
       }
       loss += inv_m * (mx + std::log(z));
       for (size_t j : neg) {
-        du[i][j] -= inv_m *
-                    std::exp(config_.gamma - u[i][j] - sim[i][j] - mx) / z;
+        du(i, j) -= inv_m *
+                    std::exp(config_.gamma - u(i, j) - sim(i, j) - mx) / z;
       }
     }
   }
@@ -117,12 +111,12 @@ Result<double> DmlTrainer::TrainBatch(
   std::vector<nn::Matrix> gx(m, nn::Matrix(1, d, 0.0));
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < m; ++j) {
-      if (i == j || du[i][j] == 0.0) continue;
-      double dist = std::max(u[i][j], 1e-8);
+      if (i == j || du(i, j) == 0.0) continue;
+      double dist = std::max(u(i, j), 1e-8);
       for (size_t c = 0; c < d; ++c) {
         double diff = (x[i](0, c) - x[j](0, c)) / dist;
-        gx[i](0, c) += du[i][j] * diff;
-        gx[j](0, c) -= du[i][j] * diff;
+        gx[i](0, c) += du(i, j) * diff;
+        gx[j](0, c) -= du(i, j) * diff;
       }
     }
   }
@@ -137,28 +131,12 @@ Result<double> DmlTrainer::TrainBatch(
     }
   }
 
-  // Per-sample backward passes run in parallel, each accumulating into a
-  // private copy of the gradient buffers (the copied encoder shares no
-  // state with its source); the per-thread buffers are then merged in
-  // fixed sample order, which reproduces the sequential accumulation
-  // order bit-for-bit at any thread count.
-  auto contributions = util::ParallelMap(0, m, 1, [&](size_t i) {
-    GinEncoder local(*encoder_);
-    local.ZeroGrad();
-    local.Backward(*batch[i], traces[i], gx[i]);
-    std::vector<nn::Matrix> grads;
-    for (nn::Matrix* g : local.Grads()) grads.push_back(*g);
-    return grads;
-  });
+  // Per-sample backward passes in sample order. Each adds exactly one
+  // term per parameter gradient entry, so the zeroed buffers end up
+  // holding ((0 + g_0) + g_1) + ... in sample order.
   encoder_->ZeroGrad();
-  std::vector<nn::Matrix*> grads = encoder_->Grads();
-  for (const auto& contribution : contributions) {
-    AUTOCE_CHECK(contribution.size() == grads.size());
-    for (size_t p = 0; p < grads.size(); ++p) {
-      grads[p]->AddInPlace(contribution[p]);
-    }
-  }
-  for (const nn::Matrix* g : grads) {
+  for (size_t i = 0; i < m; ++i) encoder_->Backward(*batch[i], traces[i], gx[i]);
+  for (const nn::Matrix* g : encoder_->Grads()) {
     if (!nn::IsFinite(*g)) {
       // Weights are still untouched; the stale gradient buffers are
       // overwritten by the next batch's ZeroGrad.

@@ -36,13 +36,33 @@ TEST(CsvLoadTest, IntegerColumnsArePreservedOrderwise) {
 }
 
 TEST(CsvLoadTest, ExtremeIntegersAreDictionaryEncoded) {
-  // INT64_MAX - (-1) overflows int64; the span is far past max_domain.
+  // INT64_MAX - (-1) overflows int64; the span is far past max_domain,
+  // so the column codes by value rank, which here matches first appearance.
   std::string path = TempPath("extremes.csv");
   WriteFile(path, "v\n-1\n9223372036854775807\n-1\n");
   auto table = LoadCsvTable(path);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table->columns[0].values, (std::vector<int32_t>{1, 2, 1}));
   EXPECT_EQ(table->columns[0].domain_size, 2);
+  std::remove(path.c_str());
+}
+
+TEST(CsvLoadTest, WideIntegerColumnsKeepValueOrder) {
+  // First appearance and value order disagree; a span past max_domain
+  // codes by value rank, and a missing value is code 1.
+  std::string path = TempPath("wide.csv");
+  WriteFile(path, "v,w\n9223372036854775807,a\n-1,b\n,c\n400,d\n-1,e\n");
+  auto table = LoadCsvTable(path);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->columns[0].values,
+            (std::vector<int32_t>{3, 1, 1, 2, 1}));
+  EXPECT_EQ(table->columns[0].domain_size, 3);
+  std::remove(path.c_str());
+
+  CsvOptions narrow;
+  narrow.max_domain = 2;
+  WriteFile(path, "v\n1\n5\n9\n");
+  EXPECT_FALSE(LoadCsvTable(path, narrow).ok());
   std::remove(path.c_str());
 }
 

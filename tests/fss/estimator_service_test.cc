@@ -142,7 +142,6 @@ TEST(EstimatorServiceTest, DeterministicFifoEviction) {
   data::Dataset ds = MakeDataset(15);
   EstimatorServiceOptions options;
   options.cache_capacity = 2;
-  options.cache_shards = 1;
   auto service = EstimatorService::Open(
       "", std::make_unique<SamplingStubModel>(), &ds, options);
   ASSERT_TRUE(service.ok());
@@ -264,7 +263,6 @@ TEST(EstimatorServiceTest, RegistryCountersEqualStatsAfterTheServiceIsGone) {
   ASSERT_GE(queries.size(), 3u);
   EstimatorServiceOptions options;
   options.cache_capacity = 1;
-  options.cache_shards = 1;
   options.max_age_epochs = 1;
   options.drift_disagreement_threshold = 0.5;
   ServiceStats stats;

@@ -36,8 +36,8 @@
 // --resume continues from the last durable generation and produces the
 // same bits as an uninterrupted run. A `.ace` file is one snapshot
 // generation (with --snapshot-dir, a copy of the final one). `inspect
-// --snapshot-dir` prints the store's generations and the sections of the
-// newest good snapshot.
+// --snapshot-dir` prints the store's generations, the sections of the
+// newest good snapshot and, for an advisor store, its training cursor.
 //
 // `serve` answers every .adat dataset under --data through the batched
 // advisor service (DESIGN.md §5.8): bounded admission, coalesced GIN
@@ -119,7 +119,6 @@
 #include "serve/server.h"
 #include "util/fault.h"
 #include "util/parallel.h"
-#include "util/serde.h"
 #include "util/simd.h"
 #include "util/snapshot.h"
 #include "util/timer.h"
@@ -396,6 +395,10 @@ int CmdRecommend(const Args& args) {
     }
     target.set_name(table->name);
     target.AddTable(std::move(table).ValueOrDie());
+    if (Status st = target.Validate(); !st.ok()) {
+      std::fprintf(stderr, "recommend: %s\n", st.ToString().c_str());
+      return 1;
+    }
   } else {
     std::fprintf(stderr, "recommend: --dataset or --csv is required\n");
     return 2;
@@ -403,10 +406,11 @@ int CmdRecommend(const Args& args) {
 
   double w = args.GetDouble("weight", 0.9);
   auto graph = advisor->extractor().Extract(target);
-  if (advisor->IsOutOfDistribution(graph)) {
+  if (double distance = advisor->DistanceToRcs(graph);
+      distance > advisor->DriftThreshold()) {
     std::printf("note: dataset looks out-of-distribution (distance %.4f > "
                 "threshold %.4f); consider online labeling\n",
-                advisor->DistanceToRcs(graph), advisor->DriftThreshold());
+                distance, advisor->DriftThreshold());
   }
   auto rec = advisor->Recommend(graph, w);
   if (!rec.ok()) {
@@ -823,14 +827,15 @@ int CmdFaults(const Args& args) {
   return 0;
 }
 
-const char* PhaseName(uint32_t phase) {
+const char* PhaseName(advisor::AutoCe::FitPhase phase) {
+  using FitPhase = advisor::AutoCe::FitPhase;
   switch (phase) {
-    case 0: return "chunk training";
-    case 1: return "incremental learning";
-    case 2: return "done";
-    case 3: return "plain training";
-    default: return "unknown";
+    case FitPhase::kChunk: return "chunk training";
+    case FitPhase::kIncremental: return "incremental learning";
+    case FitPhase::kDone: return "done";
+    case FitPhase::kPlain: return "plain training";
   }
+  return "unknown";
 }
 
 int InspectSnapshotDir(const std::string& dir) {
@@ -860,23 +865,22 @@ int InspectSnapshotDir(const std::string& dir) {
     return 1;
   }
   std::printf("  newest good snapshot: generation %" PRIu64 "\n", gen);
+  bool advisor_store = false;
   for (const auto& s : *sections) {
     std::printf("    section %-10s %8zu bytes\n", s.name.c_str(),
                 s.payload.size());
-    if (s.name == "cursor") {
-      // Cursor layout (DESIGN.md Sec. 5.7): u32 phase, i64 trained
-      // epochs, f64 best validation D-error, u64 hold-out size + ids.
-      BinaryReader r(s.payload.data(), s.payload.size());
-      uint32_t phase = r.ReadU32();
-      int64_t trained = r.ReadI64();
-      double best_err = r.ReadDouble();
-      if (r.status().ok()) {
-        std::printf("      phase %s, %" PRId64
-                    " epochs trained, best val D-error %.4f\n",
-                    PhaseName(phase), trained, best_err);
-      }
-    }
+    advisor_store |= s.name == "cursor";
   }
+  if (!advisor_store) return 0;  // e.g. an fss knowledge store
+  auto advisor = advisor::AutoCe::Load(store->GenerationPath(gen));
+  if (!advisor.ok()) {
+    std::fprintf(stderr, "inspect: %s\n", advisor.status().ToString().c_str());
+    return 1;
+  }
+  const advisor::AutoCe::TrainCursor& cursor = advisor->train_cursor();
+  std::printf("  training cursor     : phase %s, %d epochs trained, "
+              "best val D-error %.4f\n",
+              PhaseName(cursor.phase), cursor.trained_epochs, cursor.best_err);
   return 0;
 }
 
@@ -1123,9 +1127,6 @@ int CmdVersion(const Args& args) {
               disk_budget > 0
                   ? (std::to_string(disk_budget) + " bytes").c_str()
                   : "unlimited");
-  fss::EstimatorServiceOptions fss_defaults;
-  std::printf("  fss cache         : %zu entries x %zu shards (default)\n",
-              fss_defaults.cache_capacity, fss_defaults.cache_shards);
   if (std::string dir = args.Get("fss-store"); !dir.empty()) {
     auto loaded = LoadFssKnowledge(dir);
     if (loaded.ok()) {
@@ -1189,11 +1190,8 @@ int Main(int argc, char** argv) {
     // FSS cache/store stats, like the budgets above: a run touching a
     // knowledge store is reproducible + auditable from its manifest.
     fss::EstimatorServiceOptions fss_defaults;
-    manifest
-        .AddInt("fss_cache_capacity",
-                static_cast<int64_t>(fss_defaults.cache_capacity))
-        .AddInt("fss_cache_shards",
-                static_cast<int64_t>(fss_defaults.cache_shards));
+    manifest.AddInt("fss_cache_capacity",
+                    static_cast<int64_t>(fss_defaults.cache_capacity));
     if (std::string dir = args.Get("fss-store"); !dir.empty()) {
       if (auto loaded = LoadFssKnowledge(dir); loaded.ok()) {
         manifest.AddString("fss_store", dir)
