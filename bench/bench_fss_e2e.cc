@@ -14,6 +14,7 @@
 // from knowledge what the cold pass paid model inference for.
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,7 +29,6 @@
 #include "fss/estimator_service.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
-#include "util/snapshot.h"
 
 namespace autoce::bench {
 namespace {
@@ -92,17 +92,6 @@ class BorrowedModel : public ce::CardinalityEstimator {
  private:
   ce::CardinalityEstimator* inner_;
 };
-
-/// Removes every committed generation so each evaluation starts from a
-/// genuinely cold store.
-void CleanStore(const std::string& dir) {
-  auto store = util::SnapshotStore::Open(dir);
-  if (!store.ok()) return;
-  for (uint64_t g : store->ListGenerations()) {
-    std::remove(store->GenerationPath(g).c_str());
-  }
-  std::remove((dir + "/MANIFEST").c_str());
-}
 
 struct PhaseTotals {
   double plan_cost = 0.0;     // true-cardinality plan cost
@@ -268,7 +257,7 @@ EvalResult Evaluate(const std::string& model_path, const BenchSpec& spec,
       ce::ModelId id = m <= fixed.size() ? fixed[m - 1] : picked[d];
       std::string dir = "BENCH_fss_store_" + out.methods[m].name + "_" +
                         std::to_string(d) + ".tmp";
-      CleanStore(dir);
+      std::filesystem::remove_all(dir);  // a genuinely cold store
       {
         auto cold = fss::EstimatorService::Open(
             dir, std::make_unique<BorrowedModel>(models[id].get()), &ds);
@@ -385,8 +374,7 @@ int Run() {
     for (int d = 0; d < eval_datasets; ++d) {
       std::string dir = "BENCH_fss_store_" + methods[m].name + "_" +
                         std::to_string(d) + ".tmp";
-      CleanStore(dir);
-      std::remove(dir.c_str());
+      std::filesystem::remove_all(dir);
     }
   }
   return 0;

@@ -15,6 +15,7 @@
 // bit-identical at AUTOCE_THREADS=1 and 8 and across a repeated run.
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,7 +34,6 @@
 #include "fss/estimator_service.h"
 #include "serve/server.h"
 #include "util/fault.h"
-#include "util/snapshot.h"
 
 namespace autoce::bench {
 namespace {
@@ -65,18 +65,6 @@ class Digest {
   }
   uint64_t h_ = 0xCBF29CE484222325ULL;
 };
-
-/// Empties (and effectively resets) a snapshot store directory so each
-/// evaluation pass drills against the same cold starting state.
-void ResetStore(const std::string& dir) {
-  auto store = util::SnapshotStore::Open(dir);
-  if (!store.ok()) return;
-  for (uint64_t g : store->ListGenerations()) {
-    std::remove(store->GenerationPath(g).c_str());
-  }
-  std::remove((dir + "/MANIFEST").c_str());
-  std::remove((dir + "/QUARANTINE.log").c_str());
-}
 
 /// Per-regime scoreboard: one row per grid cell, one slot per selector.
 struct RegimeRow {
@@ -293,7 +281,8 @@ EvalOut Evaluate(const dyn::DriftLabeledCorpus& test,
   }
   digest.Add(static_cast<uint64_t>(out.regimes_with_flips));
 
-  ResetStore(store_dir);
+  // Each evaluation pass drills against the same cold starting state.
+  std::filesystem::remove_all(store_dir);
   out.drill = RunDrill(store_dir, &digest);
   out.digest = digest.value();
   return out;
@@ -470,8 +459,7 @@ int Run() {
   manifest.AddMetricsSnapshot();
   AUTOCE_CHECK(manifest.WriteTo("BENCH_regimes.json"));
   std::printf("\nwrote BENCH_regimes.json (digest %s)\n", digest_hex);
-  ResetStore(store_dir);
-  std::remove(store_dir.c_str());
+  std::filesystem::remove_all(store_dir);
   return 0;
 }
 

@@ -21,6 +21,7 @@
 // AUTOCE_BENCH_SCALE=paper (docs/repro.md).
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,6 @@
 #include "bench/support/chaos.h"
 #include "bench/support/soak.h"
 #include "util/fault.h"
-#include "util/snapshot.h"
 
 namespace autoce::bench {
 namespace {
@@ -38,14 +38,7 @@ constexpr uint64_t kSeed = 4242;
 std::string FreshStoreDir(const std::string& name) {
   const char* tmp = std::getenv("TMPDIR");
   std::string dir = std::string(tmp != nullptr ? tmp : "/tmp") + "/" + name;
-  auto store = util::SnapshotStore::Open(dir);
-  if (store.ok()) {
-    for (uint64_t g : store->ListGenerations()) {
-      std::remove(store->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-    std::remove((dir + "/QUARANTINE.log").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
 }
 

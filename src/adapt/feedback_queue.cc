@@ -23,21 +23,20 @@ obs::Gauge* DepthGauge() {
 FeedbackQueue::FeedbackQueue(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-Admission FeedbackQueue::Offer(data::Dataset dataset,
-                               featgraph::FeatureGraph graph,
-                               double distance) {
+Offered FeedbackQueue::Offer(data::Dataset dataset,
+                             featgraph::FeatureGraph graph, double distance) {
   uint64_t fingerprint = featgraph::GraphFingerprint(graph);
   std::lock_guard<std::mutex> lock(mu_);
   counters_.offered.Add();
 
   if (util::FaultPoint(util::fault_sites::kAdaptEnqueue, fingerprint)) {
     counters_.rejected_fault.Add();
-    return Admission::kRejectedFault;
+    return Offered::kRejectedFault;
   }
   for (const OodCandidate& pending : items_) {
     if (pending.fingerprint == fingerprint) {
       counters_.deduped.Add();
-      return Admission::kDuplicate;
+      return Offered::kDuplicate;
     }
   }
 
@@ -57,7 +56,7 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
     }
     if (victim->distance >= distance) {
       counters_.rejected_full.Add();
-      return Admission::kRejectedFull;
+      return Offered::kRejectedFull;
     }
     items_.erase(victim);
     counters_.evicted.Add();
@@ -77,7 +76,7 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
   // by design — dying here loses pending feedback, never the durable
   // model (the recovery harness re-offers the stream on restart).
   util::KillPoint(util::kill_sites::kAdaptEnqueue, fingerprint);
-  return evicted ? Admission::kAdmittedEvicting : Admission::kAdmitted;
+  return evicted ? Offered::kAdmittedEvicting : Offered::kAdmitted;
 }
 
 std::vector<OodCandidate> FeedbackQueue::DrainBatch(std::size_t max_items) {

@@ -28,8 +28,11 @@ struct OodCandidate {
   uint64_t fingerprint = 0;
 };
 
-/// Outcome of one Offer.
-enum class Admission {
+/// How an offer was disposed of. `FeedbackQueue::Offer` returns every
+/// outcome but `kNotOod`, which only `AdaptationPipeline::MaybeEnqueue`
+/// reports (its drift gate runs before the queue).
+enum class Offered {
+  kNotOod,           ///< within the drift threshold; nothing enqueued
   kAdmitted,         ///< queued
   kAdmittedEvicting, ///< queued by evicting a lower-priority pending item
   kDuplicate,        ///< an item with the same fingerprint is pending
@@ -60,16 +63,16 @@ struct FeedbackQueueStats {
 /// never block and never fail the caller: overload and injected
 /// `adapt.enqueue` faults drop the candidate and count it.
 ///
-/// Thread-safe; the serve path offers while the background worker
-/// drains.
+/// Thread-safe: serving threads offer while whichever thread runs the
+/// pipeline's batches drains.
 class FeedbackQueue {
  public:
   explicit FeedbackQueue(std::size_t capacity);
 
-  /// Offers a candidate; see Admission. `distance` is the caller's
-  /// drift distance (priority).
-  Admission Offer(data::Dataset dataset, featgraph::FeatureGraph graph,
-                  double distance);
+  /// Offers a candidate; see Offered (never `kNotOod`). `distance` is
+  /// the caller's drift distance (priority).
+  Offered Offer(data::Dataset dataset, featgraph::FeatureGraph graph,
+                double distance);
 
   /// Removes and returns up to `max_items` pending candidates in
   /// arrival (sequence) order.

@@ -169,13 +169,10 @@ AdaptationPipeline::AdaptationPipeline(AdaptationConfig config,
 }
 
 void AdaptationPipeline::LoadQuarantineLog() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
   for (const QuarantineRecord& record : ReadQuarantineLog(store_dir_)) {
     quarantine_set_.insert(record.fingerprint);
   }
 }
-
-AdaptationPipeline::~AdaptationPipeline() { Stop(); }
 
 void AdaptationPipeline::RebuildRcsFingerprints() {
   rcs_fingerprints_.clear();
@@ -193,58 +190,27 @@ Offered AdaptationPipeline::MaybeEnqueue(const data::Dataset& dataset,
   std::shared_ptr<const advisor::AutoCe> advisor = server_->advisor();
   double distance = advisor->DistanceToRcs(graph);
   if (!(distance > advisor->DriftThreshold())) return Offered::kNotOod;
-  switch (queue_.Offer(dataset, graph, distance)) {
-    case Admission::kAdmitted:
-      return Offered::kAdmitted;
-    case Admission::kAdmittedEvicting:
-      return Offered::kAdmittedEvicting;
-    case Admission::kDuplicate:
-      return Offered::kDuplicate;
-    case Admission::kRejectedFull:
-      return Offered::kRejectedFull;
-    case Admission::kRejectedFault:
-      return Offered::kRejectedFault;
-  }
-  return Offered::kRejectedFull;  // unreachable
+  return queue_.Offer(dataset, graph, distance);
 }
 
 Result<Offered> AdaptationPipeline::RequeueFromQuarantine(
     uint64_t fingerprint, const data::Dataset& dataset,
     const featgraph::FeatureGraph& graph) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (quarantine_set_.count(fingerprint) == 0) {
-      return Status::NotFound("fingerprint is not quarantined");
-    }
-    if (featgraph::GraphFingerprint(graph) != fingerprint) {
-      return Status::InvalidArgument(
-          "requeue dataset does not fingerprint to the quarantined entry");
-    }
-    quarantine_set_.erase(fingerprint);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (quarantine_set_.count(fingerprint) == 0) {
+    return Status::NotFound("fingerprint is not quarantined");
   }
+  if (featgraph::GraphFingerprint(graph) != fingerprint) {
+    return Status::InvalidArgument(
+        "requeue dataset does not fingerprint to the quarantined entry");
+  }
+  quarantine_set_.erase(fingerprint);
   RemoveFromQuarantineLog(store_dir_, fingerprint);
   // Offer directly — no drift gate: the item was OOD when it first
   // arrived, and the operator explicitly asked for a retry. Priority is
   // the trainer's current drift distance so it competes fairly with
   // live feedback.
-  double distance = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(run_mu_);
-    distance = trainer_.DistanceToRcs(graph);
-  }
-  switch (queue_.Offer(dataset, graph, distance)) {
-    case Admission::kAdmitted:
-      return Offered::kAdmitted;
-    case Admission::kAdmittedEvicting:
-      return Offered::kAdmittedEvicting;
-    case Admission::kDuplicate:
-      return Offered::kDuplicate;
-    case Admission::kRejectedFull:
-      return Offered::kRejectedFull;
-    case Admission::kRejectedFault:
-      return Offered::kRejectedFault;
-  }
-  return Offered::kRejectedFull;  // unreachable
+  return queue_.Offer(dataset, graph, trainer_.DistanceToRcs(graph));
 }
 
 void AdaptationPipeline::Backoff(uint64_t fingerprint, int attempt) {
@@ -255,25 +221,34 @@ void AdaptationPipeline::Backoff(uint64_t fingerprint, int attempt) {
   Rng rng(util::FaultKeyMix(util::FaultKeyMix(config_.seed, fingerprint),
                             static_cast<uint64_t>(attempt)));
   ms *= 1.0 + kBackoffJitter * rng.Uniform();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    backoff_ms_total_ += ms;
-  }
+  backoff_ms_total_.fetch_add(ms, std::memory_order_relaxed);
   if (sleep_fn_) sleep_fn_(ms);
 }
 
 Result<advisor::DatasetLabel> AdaptationPipeline::LabelWithRetries(
-    const OodCandidate& item, const util::DeadlineBudget& budget) {
+    const OodCandidate& item, double budget_start) {
   obs::TraceSpan span("adapt.label");
   // The labeler seed is attempt-independent: a retried item ends up
   // with the same label a first-try success would have produced.
   uint64_t label_seed = util::FaultKeyMix(config_.seed, item.fingerprint);
+  // Reads the clock only for a limited budget: each read advances a
+  // simulated clock, so the reads are part of the budget's contract.
+  const double budget_s = config_.label_budget_ms_per_batch / 1000.0;
+  auto elapsed = [&] { return obs::Now(config_.clock) - budget_start; };
+  auto expired = [&] { return budget_s > 0.0 && elapsed() >= budget_s; };
   Status last = Status::Internal("no labeling attempt ran");
   for (int attempt = 1; attempt <= kMaxLabelAttempts; ++attempt) {
     // The budget gates each attempt (a started attempt runs to
     // completion — a label that finishes late is still trustworthy);
     // once it expires the item degrades like retry exhaustion.
-    AUTOCE_RETURN_NOT_OK(budget.Check("adapt.label"));
+    if (expired()) {
+      char msg[160];
+      std::snprintf(msg, sizeof(msg),
+                    "adapt.label: deadline budget of %.3fs exhausted "
+                    "(elapsed %.3fs)",
+                    budget_s, elapsed());
+      return Status::DeadlineExceeded(msg);
+    }
     if (util::FaultPoint(util::fault_sites::kAdaptLabel,
                          util::FaultKeyMix(item.fingerprint,
                                            static_cast<uint64_t>(attempt)))) {
@@ -285,7 +260,7 @@ Result<advisor::DatasetLabel> AdaptationPipeline::LabelWithRetries(
       last = label.status();
     }
     if (attempt < kMaxLabelAttempts) {
-      if (budget.Exhausted()) continue;  // Check() above reports it
+      if (expired()) continue;  // the check above reports it
       counters_.label_retries.Add();
       Backoff(item.fingerprint, attempt);
     }
@@ -312,7 +287,6 @@ void AdaptationPipeline::Quarantine(const OodCandidate& item,
   }
   counters_.items_quarantined.Add();
   ++report->quarantined;
-  std::lock_guard<std::mutex> lock(stats_mu_);
   quarantine_set_.insert(record.fingerprint);
 }
 
@@ -419,13 +393,10 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
 }
 
 Result<BatchReport> AdaptationPipeline::RunOnce() {
-  std::lock_guard<std::mutex> batch_lock(batch_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   BatchReport report;
-  {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    auto manifest = verify_store_.ManifestGeneration();
-    if (manifest.ok()) report.generation = *manifest;
-  }
+  auto manifest = verify_store_.ManifestGeneration();
+  if (manifest.ok()) report.generation = *manifest;
   std::vector<OodCandidate> batch = queue_.DrainBatch(config_.batch_size);
   report.drained = batch.size();
   if (batch.empty()) return report;
@@ -434,23 +405,6 @@ Result<BatchReport> AdaptationPipeline::RunOnce() {
   Timer timer;
   counters_.batches.Add();
   counters_.items_seen.Add(batch.size());
-
-  // Replay dedup, claimed against a snapshot FIXED at batch start:
-  // items already trained into the RCS (this run or a pre-crash one)
-  // and quarantined items are consumed without labeling. The snapshot
-  // makes the claim decision independent of labeling timing and worker
-  // count; within one batch fingerprints are distinct (queue pending
-  // dedup), so only prior-batch state matters here, and the apply
-  // phase below rechecks the live set as the authoritative gate.
-  std::unordered_set<uint64_t> seen;
-  {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    seen = rcs_fingerprints_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    seen.insert(quarantine_set_.begin(), quarantine_set_.end());
-  }
 
   struct ItemPlan {
     bool dedup = false;
@@ -461,8 +415,16 @@ Result<BatchReport> AdaptationPipeline::RunOnce() {
   };
   std::vector<ItemPlan> plans(batch.size());
   std::vector<std::size_t> to_label;
+  // Replay dedup, claimed against the state at batch start: items
+  // already trained into the RCS (this run or a pre-crash one) and
+  // quarantined items are consumed without labeling. Within one batch
+  // fingerprints are distinct (queue pending dedup), so only
+  // prior-batch state matters here, and the apply phase below rechecks
+  // the live set as the authoritative gate.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (seen.count(batch[i].fingerprint) > 0) {
+    uint64_t fingerprint = batch[i].fingerprint;
+    if (rcs_fingerprints_.count(fingerprint) > 0 ||
+        quarantine_set_.count(fingerprint) > 0) {
       plans[i].dedup = true;
     } else {
       to_label.push_back(i);
@@ -470,18 +432,16 @@ Result<BatchReport> AdaptationPipeline::RunOnce() {
   }
 
   // The per-batch wall-clock labeling budget arms when labeling
-  // starts; items it cuts off degrade to sentinel labels exactly like
-  // retry exhaustion.
-  util::DeadlineBudget label_budget(
-      config_.label_budget_ms_per_batch / 1000.0, config_.clock);
-  label_budget.Arm();
+  // starts (one clock read, even for an unlimited budget); items it
+  // cuts off degrade to sentinel labels exactly like retry exhaustion.
+  const double budget_start = obs::Now(config_.clock);
 
   // Labels are a pure function of item content, so the labeling phase
   // parallelizes freely: any claim interleaving produces the same
   // plans. num_workers > 1 requires a thread-safe labeler.
   auto label_task = [&](std::size_t i) {
     const OodCandidate& item = batch[i];
-    auto label_or = LabelWithRetries(item, label_budget);
+    auto label_or = LabelWithRetries(item, budget_start);
     ItemPlan& plan = plans[i];
     plan.sentinel = !label_or.ok();
     plan.label = plan.sentinel ? SentinelLabel() : *label_or;
@@ -515,49 +475,42 @@ Result<BatchReport> AdaptationPipeline::RunOnce() {
     for (std::thread& t : pool) t.join();
   }
 
-  // Apply phase: strict arrival order under run_mu_, so the sequence
-  // of committed generations — hence the digest — is bit-identical at
-  // any worker count.
+  // Apply phase: strict arrival order, so the sequence of committed
+  // generations — hence the digest — is bit-identical at any worker
+  // count.
   bool any_applied = false;
-  {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const OodCandidate& item = batch[i];
-      ItemPlan& plan = plans[i];
-      // Authoritative recheck against the live set: covers the corner
-      // of a fingerprint introduced by an earlier unit in this very
-      // batch (e.g. a Mixup graph), which the claim snapshot predates.
-      bool skip =
-          plan.dedup || rcs_fingerprints_.count(item.fingerprint) > 0;
-      if (skip) {
-        counters_.items_deduped.Add();
-        ++report.deduped;
-        continue;
-      }
-      if (plan.sentinel) {
-        AUTOCE_LOG(Warning)
-            << "adaptation item " << item.dataset.name()
-            << " exhausted labeling retries, degrading to sentinel scores: "
-            << plan.label_error.message();
-        counters_.labels_sentinel.Add();
-        ++report.sentinel;
-        if (plan.budget_expired) {
-          counters_.labels_budget_expired.Add();
-          ++report.budget_expired;
-        }
-      } else {
-        counters_.labels_ok.Add();
-      }
-      AUTOCE_RETURN_NOT_OK(
-          TrainUnit(item, plan.label, plan.sentinel, &report, &any_applied));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const OodCandidate& item = batch[i];
+    ItemPlan& plan = plans[i];
+    // Authoritative recheck against the live set: covers the corner of
+    // a fingerprint introduced by an earlier unit in this very batch
+    // (e.g. a Mixup graph), which the claim above predates.
+    bool skip = plan.dedup || rcs_fingerprints_.count(item.fingerprint) > 0;
+    if (skip) {
+      counters_.items_deduped.Add();
+      ++report.deduped;
+      continue;
     }
+    if (plan.sentinel) {
+      AUTOCE_LOG(Warning)
+          << "adaptation item " << item.dataset.name()
+          << " exhausted labeling retries, degrading to sentinel scores: "
+          << plan.label_error.message();
+      counters_.labels_sentinel.Add();
+      ++report.sentinel;
+      if (plan.budget_expired) {
+        counters_.labels_budget_expired.Add();
+        ++report.budget_expired;
+      }
+    } else {
+      counters_.labels_ok.Add();
+    }
+    AUTOCE_RETURN_NOT_OK(
+        TrainUnit(item, plan.label, plan.sentinel, &report, &any_applied));
   }
 
-  {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    auto manifest = verify_store_.ManifestGeneration();
-    if (manifest.ok()) report.generation = *manifest;
-  }
+  manifest = verify_store_.ManifestGeneration();
+  if (manifest.ok()) report.generation = *manifest;
   if (any_applied && server_ != nullptr) {
     report.reload_attempted = true;
     counters_.reloads_triggered.Add();
@@ -585,50 +538,6 @@ Status AdaptationPipeline::DrainAll() {
   return Status::OK();
 }
 
-Status AdaptationPipeline::Start() {
-  std::lock_guard<std::mutex> lock(worker_mu_);
-  if (running_) {
-    return Status::FailedPrecondition("adaptation worker already running");
-  }
-  stop_ = false;
-  running_ = true;
-  worker_ = std::thread([this] { WorkerLoop(); });
-  return Status::OK();
-}
-
-void AdaptationPipeline::Stop() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> lock(worker_mu_);
-    if (!running_) return;
-    stop_ = true;
-    to_join = std::move(worker_);
-  }
-  worker_cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
-  std::lock_guard<std::mutex> lock(worker_mu_);
-  running_ = false;
-}
-
-void AdaptationPipeline::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(worker_mu_);
-  while (!stop_) {
-    lock.unlock();
-    if (queue_.depth() > 0) {
-      auto report = RunOnce();
-      if (!report.ok()) {
-        AUTOCE_LOG(Warning) << "adaptation batch failed: "
-                            << report.status().message();
-      }
-    }
-    lock.lock();
-    if (stop_) break;
-    worker_cv_.wait_for(
-        lock, std::chrono::duration<double, std::milli>(config_.poll_interval_ms),
-        [this] { return stop_; });
-  }
-}
-
 AdaptationStats AdaptationPipeline::stats() const {
   AdaptationStats out;
   out.batches = counters_.batches.value();
@@ -645,18 +554,17 @@ AdaptationStats AdaptationPipeline::stats() const {
   out.generations_committed = counters_.generations_committed.value();
   out.reloads_triggered = counters_.reloads_triggered.value();
   out.reload_failures = counters_.reload_failures.value();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  out.backoff_ms_total = backoff_ms_total_;
+  out.backoff_ms_total = backoff_ms_total_.load(std::memory_order_relaxed);
   return out;
 }
 
 uint64_t AdaptationPipeline::TrainerDigest() const {
-  std::lock_guard<std::mutex> lock(run_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return trainer_.ModelDigest();
 }
 
 std::size_t AdaptationPipeline::TrainerRcsSize() const {
-  std::lock_guard<std::mutex> lock(run_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return trainer_.RcsSize();
 }
 

@@ -1,12 +1,11 @@
 #ifndef AUTOCE_ADAPT_PIPELINE_H_
 #define AUTOCE_ADAPT_PIPELINE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
-#include "util/budget.h"
 #include "util/result.h"
 
 namespace autoce::adapt {
@@ -43,8 +41,6 @@ struct AdaptationConfig {
   /// mixed with the item fingerprint, so per-item decisions stay
   /// content-keyed).
   uint64_t seed = 42;
-  /// Background worker wake-up period (Start/Stop mode).
-  double poll_interval_ms = 50.0;
   /// Wall-clock labeling budget per RunOnce batch in ms (0 =
   /// unlimited). Once the budget is exhausted, remaining items in the
   /// batch degrade to sentinel labels exactly like retry exhaustion
@@ -99,16 +95,6 @@ struct BatchReport {
   bool reload_ok = false;
 };
 
-/// How MaybeEnqueue disposed of a request.
-enum class Offered {
-  kNotOod,  ///< within the drift threshold; nothing enqueued
-  kAdmitted,
-  kAdmittedEvicting,
-  kDuplicate,
-  kRejectedFull,
-  kRejectedFault,
-};
-
 /// One persisted quarantine entry: which unit was dropped, at which
 /// pipeline stage, and why. The pipeline appends these to a
 /// `QUARANTINE.log` sidecar in the store directory and reloads them on
@@ -143,6 +129,11 @@ std::size_t RemoveFromQuarantineLog(const std::string& store_dir,
 /// `AdvisorServer::Reload` so the server picks the new generation up
 /// without dropping traffic.
 ///
+/// The pipeline owns no thread: a batch runs only when a caller asks
+/// (RunOnce, DrainAll), on the caller's thread, under one mutex held
+/// for the whole batch. Offering (MaybeEnqueue, queue()) and stats()
+/// take no pipeline lock, so the serve path never waits on a batch.
+///
 /// Crash contract: the trainer is always opened from the durable store
 /// (`ResumeFit`), every unit is one atomic commit, and replayed items
 /// are deduped against the RCS by fingerprint — so a crash at ANY kill
@@ -151,8 +142,8 @@ std::size_t RemoveFromQuarantineLog(const std::string& store_dir,
 /// snapshot. Failure modes degrade instead of wedging: label
 /// exhaustion → sentinel scoring, train exhaustion → quarantine,
 /// commit verification failure → rollback to the durable generation;
-/// the serve path is never blocked (the queue never blocks, and the
-/// worker only touches the server in the brief Reload swap).
+/// the serve path is never blocked (the queue never blocks, and a
+/// batch only touches the server in the brief Reload swap).
 class AdaptationPipeline {
  public:
   /// Opens the pipeline over the snapshot store at `store_dir`: the
@@ -165,8 +156,6 @@ class AdaptationPipeline {
       const std::string& store_dir, serve::AdvisorServer* server,
       AdaptationConfig config = {},
       util::SnapshotStoreOptions store_options = {});
-
-  ~AdaptationPipeline();
 
   AdaptationPipeline(const AdaptationPipeline&) = delete;
   AdaptationPipeline& operator=(const AdaptationPipeline&) = delete;
@@ -190,27 +179,23 @@ class AdaptationPipeline {
                                         const data::Dataset& dataset,
                                         const featgraph::FeatureGraph& graph);
 
-  /// Runs one synchronous batch cycle (see class comment). Serialized
-  /// against itself and the background worker. An empty queue is a
-  /// cheap no-op. Errors are reserved for infrastructure failure
-  /// (store unreadable after rollback); per-item failures degrade and
-  /// are reported in the counters instead.
+  /// Runs one batch cycle (see class comment) on the calling thread,
+  /// holding the pipeline's mutex throughout, so concurrent calls run
+  /// one after another. An empty queue is a cheap no-op. Errors are
+  /// reserved for infrastructure failure (store unreadable after
+  /// rollback); per-item failures degrade and are reported in the
+  /// counters instead.
   Result<BatchReport> RunOnce();
 
-  /// Runs RunOnce until the queue is empty (the deterministic harness
-  /// entry point; every item is consumed — applied, deduped,
-  /// sentinel-labeled, or quarantined — so this terminates).
+  /// Runs RunOnce until the queue is empty (every item is consumed —
+  /// applied, deduped, sentinel-labeled, or quarantined — so this
+  /// terminates). A caller that wants adaptation off its own thread
+  /// runs this on a thread it owns.
   Status DrainAll();
-
-  /// Starts the background worker: drains a batch every
-  /// `poll_interval_ms` while the queue is non-empty.
-  Status Start();
-
-  /// Stops and joins the background worker (idempotent).
-  void Stop();
 
   FeedbackQueue& queue() { return queue_; }
 
+  /// Never waits on a running batch.
   AdaptationStats stats() const;
 
   /// ModelDigest of the trainer — the bit-identity witness the
@@ -220,11 +205,14 @@ class AdaptationPipeline {
   std::size_t TrainerRcsSize() const;
 
   /// Replaces the labeler (tests and harnesses install fast
-  /// deterministic ones). Not thread-safe against a running worker.
+  /// deterministic ones). Labelers run inside RunOnce, which holds the
+  /// pipeline's mutex, so a labeler must not call back into the
+  /// pipeline.
   void set_labeler(Labeler labeler) { labeler_ = std::move(labeler); }
 
   /// Replaces the backoff sleeper (deterministic tests record instead
-  /// of sleeping). Not thread-safe against a running worker.
+  /// of sleeping). Like a labeler, it must not call back into the
+  /// pipeline.
   void set_sleep_fn(SleepFn fn) { sleep_fn_ = std::move(fn); }
 
  private:
@@ -236,11 +224,11 @@ class AdaptationPipeline {
   /// Labels one item: bounded attempts, `adapt.label` fault site keyed
   /// by (fingerprint, attempt), seeded backoff between attempts. The
   /// labeler seed is attempt-independent so retries cannot change the
-  /// label an item ends up with. `budget` (never null) cuts the attempt
-  /// loop short with `DeadlineExceeded` once the batch labeling budget
-  /// is gone.
-  Result<advisor::DatasetLabel> LabelWithRetries(
-      const OodCandidate& item, const util::DeadlineBudget& budget);
+  /// label an item ends up with. A limited batch labeling budget,
+  /// counted from `budget_start` (a `config_.clock` instant), cuts the
+  /// attempt loop short with `DeadlineExceeded` once it is gone.
+  Result<advisor::DatasetLabel> LabelWithRetries(const OodCandidate& item,
+                                                 double budget_start);
 
   /// Applies one labeled unit (item + optional mixup) to the trainer:
   /// bounded attempts with the `adapt.train` fault checked BEFORE any
@@ -259,7 +247,6 @@ class AdaptationPipeline {
                   const std::string& reason, BatchReport* report);
   void LoadQuarantineLog();
   void Backoff(uint64_t fingerprint, int attempt);
-  void WorkerLoop();
 
   const AdaptationConfig config_;
   const util::SnapshotStoreOptions store_options_;
@@ -270,22 +257,16 @@ class AdaptationPipeline {
   Labeler labeler_;
   SleepFn sleep_fn_;
 
-  /// Serializes batch cycles end to end: parallel labeling happens
-  /// inside one RunOnce, never across two.
-  mutable std::mutex batch_mu_;
+  /// Held by RunOnce for the whole batch, so batches never overlap;
+  /// the labeling workers inside a batch take no pipeline lock.
+  mutable std::mutex mu_;
+  advisor::AutoCe trainer_;                        // guarded by mu_
+  util::SnapshotStore verify_store_;               // guarded by mu_
+  std::unordered_set<uint64_t> rcs_fingerprints_;  // guarded by mu_
+  std::unordered_set<uint64_t> quarantine_set_;    // guarded by mu_
 
-  /// Guards the trainer and the dedup set; held for the sequential
-  /// apply phase but NOT for the (possibly parallel) labeling phase.
-  mutable std::mutex run_mu_;
-  advisor::AutoCe trainer_;               // guarded by run_mu_
-  util::SnapshotStore verify_store_;      // guarded by run_mu_
-  std::unordered_set<uint64_t> rcs_fingerprints_;  // guarded by run_mu_
-
-  /// Guards the backoff total and the quarantine set (readable while a
-  /// batch runs).
-  mutable std::mutex stats_mu_;
-  double backoff_ms_total_ = 0.0;                // guarded by stats_mu_
-  std::unordered_set<uint64_t> quarantine_set_;  // guarded by stats_mu_
+  /// Added to by the labeling workers of a batch.
+  std::atomic<double> backoff_ms_total_{0.0};
 
   /// The AdaptationStats counters.
   struct Counters {
@@ -305,12 +286,6 @@ class AdaptationPipeline {
     obs::StatCounter reload_failures{"adapt.reload_failures"};
   };
   Counters counters_;
-
-  mutable std::mutex worker_mu_;
-  std::condition_variable worker_cv_;
-  bool stop_ = false;       // guarded by worker_mu_
-  bool running_ = false;    // guarded by worker_mu_
-  std::thread worker_;      // guarded by worker_mu_ (start/join)
 };
 
 /// The all-sentinel degraded label: every model at the score floor and

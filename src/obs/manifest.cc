@@ -13,6 +13,14 @@ namespace {
 #define AUTOCE_GIT_DESCRIBE "unknown"
 #endif
 
+std::string FormatDouble(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+}  // namespace
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -35,14 +43,6 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string GitDescribe() { return AUTOCE_GIT_DESCRIBE; }
 

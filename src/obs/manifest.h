@@ -22,6 +22,10 @@ namespace autoce::obs {
 /// AUTOCE_GIT_DESCRIBE compile definition), or "unknown".
 std::string GitDescribe();
 
+/// `s` as the body of a JSON string literal: quotes, backslashes and
+/// control characters escaped.
+std::string JsonEscape(const std::string& s);
+
 /// \brief Ordered-key JSON object builder with file output.
 class RunManifest {
  public:

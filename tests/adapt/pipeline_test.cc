@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,29 +72,8 @@ Labeler SyntheticLabeler() {
 
 std::string TempStoreDir(const std::string& name) {
   std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  auto store = util::SnapshotStore::Open(dir);
-  if (store.ok()) {
-    for (uint64_t g : store->ListGenerations()) {
-      std::remove(store->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-    std::remove((dir + "/QUARANTINE.log").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
-}
-
-void CopyFile(const std::string& src, const std::string& dst) {
-  FILE* in = std::fopen(src.c_str(), "rb");
-  ASSERT_NE(in, nullptr) << src;
-  FILE* out = std::fopen(dst.c_str(), "wb");
-  ASSERT_NE(out, nullptr) << dst;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    ASSERT_EQ(std::fwrite(buf, 1, n, out), n);
-  }
-  std::fclose(in);
-  ASSERT_EQ(std::fclose(out), 0);
 }
 
 /// One fitted snapshot store shared by the suite; each test clones it
@@ -149,13 +129,8 @@ class PipelineTest : public ::testing::Test {
   static std::string CloneTemplate(const std::string& name) {
     std::string dst =
         TempStoreDir(name + "_" + std::to_string(::getpid()));
-    auto src = util::SnapshotStore::Open(*template_dir_);
-    auto dst_store = util::SnapshotStore::Open(dst);  // creates the dir
-    EXPECT_TRUE(src.ok() && dst_store.ok());
-    for (uint64_t g : src->ListGenerations()) {
-      CopyFile(src->GenerationPath(g), dst_store->GenerationPath(g));
-    }
-    CopyFile(*template_dir_ + "/MANIFEST", dst + "/MANIFEST");
+    std::filesystem::copy(*template_dir_, dst,
+                          std::filesystem::copy_options::recursive);
     return dst;
   }
 
@@ -180,7 +155,7 @@ class PipelineTest : public ::testing::Test {
 
   /// Offers feed item `i` straight to the queue (bypassing drift
   /// detection, which has its own test) with a distinct distance.
-  static Admission OfferFeed(AdaptationPipeline* pipeline, size_t i) {
+  static Offered OfferFeed(AdaptationPipeline* pipeline, size_t i) {
     return pipeline->queue().Offer((*feed_datasets_)[i], (*feed_graphs_)[i],
                                    1.0 + static_cast<double>(i));
   }
@@ -213,8 +188,8 @@ TEST_F(PipelineTest, AppliesUnitsCommitsGenerationsAndReloadsServer) {
   uint64_t gen_before = rig.server->generation();
   size_t rcs_before = rig.pipeline->TrainerRcsSize();
 
-  EXPECT_EQ(OfferFeed(rig.pipeline.get(), 0), Admission::kAdmitted);
-  EXPECT_EQ(OfferFeed(rig.pipeline.get(), 1), Admission::kAdmitted);
+  EXPECT_EQ(OfferFeed(rig.pipeline.get(), 0), Offered::kAdmitted);
+  EXPECT_EQ(OfferFeed(rig.pipeline.get(), 1), Offered::kAdmitted);
   auto report = rig.pipeline->RunOnce();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -441,14 +416,12 @@ TEST_F(PipelineTest, CommitVerificationFailureRollsBack) {
 
 TEST_F(PipelineTest, BackgroundWorkerAdaptsWhileServing) {
   std::string dir = CloneTemplate("adapt_worker");
-  AdaptationConfig config;
-  config.poll_interval_ms = 1.0;
-  Rig rig = OpenRig(dir, config);
-
-  ASSERT_TRUE(rig.pipeline->Start().ok());
-  EXPECT_FALSE(rig.pipeline->Start().ok());  // already running
-
+  Rig rig = OpenRig(dir);
   for (size_t i = 0; i < 3; ++i) OfferFeed(rig.pipeline.get(), i);
+
+  // The pipeline owns no thread: adaptation runs off the serve path
+  // when a caller drains it on a thread of its own.
+  std::thread worker([&] { EXPECT_TRUE(rig.pipeline->DrainAll().ok()); });
 
   // The serve path stays live while the worker labels and trains; the
   // requests also exercise the reload swap under concurrent traffic.
@@ -463,12 +436,9 @@ TEST_F(PipelineTest, BackgroundWorkerAdaptsWhileServing) {
     EXPECT_TRUE(response.status.ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  rig.pipeline->Stop();
+  worker.join();
   EXPECT_EQ(rig.pipeline->stats().items_applied, 3u);
   EXPECT_EQ(rig.pipeline->queue().depth(), 0u);
-  rig.pipeline->Stop();  // idempotent
-  ASSERT_TRUE(rig.pipeline->Start().ok());  // stopped: it starts again
-  rig.pipeline->Stop();
 }
 
 TEST_F(PipelineTest, LabelBudgetExpiryDegradesToSentinel) {
@@ -530,6 +500,55 @@ TEST_F(PipelineTest, UnlimitedLabelBudgetNeverExpires) {
   AdaptationStats stats = rig.pipeline->stats();
   EXPECT_EQ(stats.labels_ok, 2u);
   EXPECT_EQ(stats.labels_budget_expired, 0u);
+}
+
+TEST_F(PipelineTest, LabelBudgetClockReadsArePinned) {
+  // The soak's simulated clock advances on every read, so one read more
+  // or less moves every later budget and deadline decision. A batch
+  // reads config.clock once when it arms the budget; a limited budget
+  // also reads it once per attempt check (plus once for the message of
+  // a failed check) and once per retry probe.
+  struct Observed {
+    int reads = 0;
+    AdaptationStats stats;
+  };
+  auto run = [&](const std::string& name, double budget_ms) {
+    std::string dir = CloneTemplate(name);
+    AdaptationConfig config;
+    config.batch_size = 8;
+    config.label_budget_ms_per_batch = budget_ms;
+    Observed o;
+    // 5 ms per read from 0, so read 2 is exactly 10 ms after the arm.
+    config.clock = [&o] { return 0.005 * static_cast<double>(o.reads++); };
+    Rig rig = OpenRig(dir, config);
+    OfferFeed(rig.pipeline.get(), 0);
+    OfferFeed(rig.pipeline.get(), 1);
+    auto& injection = util::FaultInjection::Instance();
+    EXPECT_TRUE(injection
+                    .Configure(std::string(util::fault_sites::kAdaptLabel) +
+                               ":1.0")
+                    .ok());
+    auto report = rig.pipeline->RunOnce();
+    injection.Disable();
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    o.stats = rig.pipeline->stats();
+    return o;
+  };
+
+  // 10 ms: arm (0 ms); item 0 checks (5 ms, passes), faults, and its
+  // retry probe lands on the budget (10 ms); its second check fails
+  // (15 ms) and reads once more for the message; item 1's first check
+  // fails the same way.
+  Observed limited = run("adapt_clock_reads_limited", 10.0);
+  EXPECT_EQ(limited.reads, 7);
+  EXPECT_EQ(limited.stats.labels_budget_expired, 2u);
+  EXPECT_EQ(limited.stats.label_retries, 0u);
+
+  // Unlimited: the arm is the only read, and every attempt runs.
+  Observed unlimited = run("adapt_clock_reads_unlimited", 0.0);
+  EXPECT_EQ(unlimited.reads, 1);
+  EXPECT_EQ(unlimited.stats.labels_budget_expired, 0u);
+  EXPECT_EQ(unlimited.stats.label_retries, 4u);
 }
 
 TEST_F(PipelineTest, QuarantineLogPersistsAcrossRestart) {

@@ -5,12 +5,12 @@
 // testbed — so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "advisor/autoce.h"
 #include "data/generator.h"
-#include "util/snapshot.h"
 #include "util/stats.h"
 
 namespace autoce::advisor {
@@ -61,13 +61,7 @@ std::vector<featgraph::FeatureGraph> MakeGraphs(int n, uint64_t seed) {
 
 std::string TempStoreDir(const std::string& name) {
   std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  auto store = util::SnapshotStore::Open(dir);
-  if (store.ok()) {
-    for (uint64_t g : store->ListGenerations()) {
-      std::remove(store->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
 }
 

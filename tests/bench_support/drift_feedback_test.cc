@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "obs/metrics.h"
 #include "serve/server.h"
 #include "util/rng.h"
-#include "util/snapshot.h"
 
 namespace autoce::adapt {
 namespace {
@@ -54,14 +54,7 @@ std::vector<advisor::DatasetLabel> SyntheticLabels(size_t n) {
 std::string TempStoreDir(const std::string& name) {
   std::string dir = std::string(::testing::TempDir()) + "/" + name + "_" +
                     std::to_string(::getpid());
-  auto store = util::SnapshotStore::Open(dir);
-  if (store.ok()) {
-    for (uint64_t g : store->ListGenerations()) {
-      std::remove(store->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-    std::remove((dir + "/QUARANTINE.log").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
 }
 

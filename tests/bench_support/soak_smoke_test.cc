@@ -9,24 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "util/fault.h"
-#include "util/snapshot.h"
 
 namespace autoce::adapt {
 namespace {
 
 std::string FreshStoreDir(const std::string& name) {
   std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  auto store = util::SnapshotStore::Open(dir);
-  if (store.ok()) {
-    for (uint64_t g : store->ListGenerations()) {
-      std::remove(store->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-    std::remove((dir + "/QUARANTINE.log").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
 }
 

@@ -1,14 +1,18 @@
 // `autoce` refuses a numeric flag value it cannot use with exit code 2
-// and a message naming the flag, and its train -> inspect round trip
-// over a snapshot store reports the training cursor. The binary path is
-// injected at compile time (AUTOCE_CLI_PATH, see tests/CMakeLists.txt).
+// and a message naming the flag, its train -> inspect round trip over a
+// snapshot store reports the training cursor, and its adaptation
+// commands (`serve --adapt`, `adapt`, `adapt quarantine`, `adapt
+// requeue`) run end to end. The binary path is injected at compile time
+// (AUTOCE_CLI_PATH, see tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
 
 namespace autoce {
@@ -108,6 +112,119 @@ TEST(CliSnapshotTest, InspectReportsTheTrainingCursor) {
   EXPECT_NE(output.find("training cursor     : phase done, "),
             std::string::npos)
       << output;
+  fs::remove_all(dir);
+}
+
+TEST(CliAdaptTest, QuarantineJsonEscapesTheReason) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "cli_quarantine";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::ofstream(dir / "QUARANTINE.log")
+      << "42\ttrain\tcannot open \"x\\y\" for reading\n";
+  std::string output;
+  ASSERT_EQ(RunCli("adapt quarantine --json --snapshot-dir " + dir.string(),
+                   &output),
+            0)
+      << output;
+  EXPECT_NE(output.find(R"("reason": "cannot open \"x\\y\" for reading")"),
+            std::string::npos)
+      << output;
+  fs::remove_all(dir);
+}
+
+TEST(CliAdaptTest, RequeueRefusesAFingerprintThatIsNotHex) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "cli_requeue";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string store = (dir / "store").string();
+  for (const char* bad : {"12zz", "zz", "0x12", "-1", "12345678901234567"}) {
+    std::string output;
+    EXPECT_EQ(RunCli(std::string("adapt requeue ") + bad + " --snapshot-dir " +
+                         store + " --data " + (dir / "data").string(),
+                     &output),
+              2)
+        << bad << "\n" << output;
+    EXPECT_NE(output.find("FINGERPRINT"), std::string::npos) << output;
+    // Refused before anything is opened: the store is never created.
+    EXPECT_FALSE(fs::exists(store)) << bad;
+  }
+  fs::remove_all(dir);
+}
+
+/// The first line of `output` that starts with `prefix`, or "".
+std::string LineStartingWith(const std::string& output,
+                             const std::string& prefix) {
+  std::istringstream lines(output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
+TEST(CliAdaptTest, ServeAdaptAndAdaptApplyDriftedDatasets) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "cli_adapt";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "corpus");
+  fs::create_directories(dir / "drift");
+  const std::string d = dir.string();
+  std::string output;
+  ASSERT_EQ(RunCli("generate --out " + d + "/corpus --count 6 --min-tables 1 "
+                   "--max-tables 2 --min-rows 150 --max-rows 300 --seed 31",
+                   &output),
+            0)
+      << output;
+  // Wider and larger than anything in the corpus: out of distribution.
+  ASSERT_EQ(RunCli("generate --out " + d + "/drift --count 3 --min-tables 3 "
+                   "--max-tables 5 --min-rows 600 --max-rows 1200 --seed 32",
+                   &output),
+            0)
+      << output;
+  ASSERT_EQ(RunCli("train --data " + d + "/corpus --out " + d + "/m.ace "
+                   "--snapshot-dir " + d + "/store --train-queries 24 "
+                   "--test-queries 12 --epochs 4",
+                   &output),
+            0)
+      << output;
+  // Each command adapts its own copy of the trained store.
+  for (const char* copy : {"serve", "w1", "w2"}) {
+    fs::copy(dir / "store", dir / copy, fs::copy_options::recursive);
+  }
+
+  output.clear();
+  ASSERT_EQ(RunCli("serve --snapshot-dir " + d + "/serve --data " + d +
+                       "/drift --adapt",
+                   &output),
+            0)
+      << output;
+  int enqueued = 0, applied = 0, sentinel = -1, quarantined = -1;
+  ASSERT_EQ(std::sscanf(LineStartingWith(output, "adaptation: ").c_str(),
+                        "adaptation: %d OOD enqueued, %d applied, %d "
+                        "sentinel, %d quarantined",
+                        &enqueued, &applied, &sentinel, &quarantined),
+            4)
+      << output;
+  EXPECT_GE(enqueued, 1) << output;
+  EXPECT_EQ(applied, enqueued) << output;
+  EXPECT_EQ(sentinel, 0) << output;
+  EXPECT_EQ(quarantined, 0) << output;
+
+  std::string lines[2];
+  for (int workers : {1, 2}) {
+    output.clear();
+    ASSERT_EQ(RunCli("adapt --snapshot-dir " + d + "/w" +
+                         std::to_string(workers) + " --data " + d +
+                         "/drift --train-queries 24 --test-queries 12 "
+                         "--workers " + std::to_string(workers),
+                     &output),
+              0)
+        << output;
+    lines[workers - 1] = LineStartingWith(output, "server now at generation ");
+  }
+  EXPECT_NE(lines[0].find("(RCS "), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[0], lines[1]);
   fs::remove_all(dir);
 }
 

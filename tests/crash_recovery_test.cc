@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "util/snapshot.h"
@@ -54,14 +55,7 @@ std::string ExtractDigest(const std::string& output) {
 
 std::string FreshDir(const std::string& name) {
   std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  auto store = util::SnapshotStore::Open(dir);
-  if (store.ok()) {
-    for (uint64_t g : store->ListGenerations()) {
-      std::remove(store->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-    std::remove((dir + "/MANIFEST.tmp").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
 }
 

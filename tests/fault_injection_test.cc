@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -348,13 +349,8 @@ void ExerciseServeReload() {
 
   std::string dir =
       std::string(::testing::TempDir()) + "/fault_serve_reload";
-  // Fresh store per run: drop any generations a prior run left behind.
-  if (auto old = util::SnapshotStore::Open(dir); old.ok()) {
-    for (uint64_t g : old->ListGenerations()) {
-      std::remove(old->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-  }
+  // Fresh store per run: drop whatever a prior run left behind.
+  std::filesystem::remove_all(dir);
   advisor::AutoCe adv(TinyAdvisorConfig());
   ASSERT_TRUE(adv.EnableSnapshots(dir).ok());
   ASSERT_TRUE(adv.Fit(graphs, labels).ok());
@@ -399,7 +395,7 @@ void ExerciseAdaptEnqueue() {
   // thrown back at the serve path)...
   ASSERT_TRUE(reg.Configure(std::string(sites::kAdaptEnqueue)).ok());
   EXPECT_EQ(queue.Offer(datasets[0], fx.Extract(datasets[0]), 1.0),
-            adapt::Admission::kRejectedFault);
+            adapt::Offered::kRejectedFault);
   EXPECT_GT(reg.FireCount(sites::kAdaptEnqueue), 0);
   EXPECT_EQ(queue.depth(), 0u);
   EXPECT_EQ(queue.stats().rejected_fault, 1u);
@@ -407,7 +403,7 @@ void ExerciseAdaptEnqueue() {
   // ...and with injection off the same candidate admits.
   reg.Disable();
   EXPECT_EQ(queue.Offer(datasets[0], fx.Extract(datasets[0]), 1.0),
-            adapt::Admission::kAdmitted);
+            adapt::Offered::kAdmitted);
 }
 
 /// Shared contract of the pipeline-stage sites: the injected stage
@@ -424,15 +420,7 @@ void ExerciseAdaptPipelineSite(const std::string& site) {
   for (int i = 0; i < 8; ++i) graphs.push_back(fx.Extract(datasets[i]));
 
   std::string dir = std::string(::testing::TempDir()) + "/fault_" + site;
-  if (auto old = util::SnapshotStore::Open(dir); old.ok()) {
-    for (uint64_t g : old->ListGenerations()) {
-      std::remove(old->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-    // Quarantines persist in a sidecar now; a stale log would pre-seed
-    // the dedup set and swallow this run's expected quarantine count.
-    std::remove((dir + "/QUARANTINE.log").c_str());
-  }
+  std::filesystem::remove_all(dir);
   advisor::AutoCe adv(TinyAdvisorConfig());
   ASSERT_TRUE(adv.EnableSnapshots(dir).ok());
   ASSERT_TRUE(adv.Fit(graphs, labels).ok());
@@ -497,12 +485,7 @@ void ExerciseAdaptPipelineSite(const std::string& site) {
 void ExerciseSnapshotSite(const std::string& site) {
   auto& reg = util::FaultInjection::Instance();
   std::string dir = std::string(::testing::TempDir()) + "/fault_" + site;
-  if (auto old = util::SnapshotStore::Open(dir); old.ok()) {
-    for (uint64_t g : old->ListGenerations()) {
-      std::remove(old->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-  }
+  std::filesystem::remove_all(dir);
   auto store = util::SnapshotStore::Open(dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   std::vector<util::SnapshotSection> sections = {{"alpha", "payload-good"}};
@@ -576,12 +559,7 @@ void ExerciseFssCommit() {
   auto& reg = util::FaultInjection::Instance();
   data::Dataset ds = FssFaultDataset(173);
   std::string dir = std::string(::testing::TempDir()) + "/fault_fss_commit";
-  if (auto old = util::SnapshotStore::Open(dir); old.ok()) {
-    for (uint64_t g : old->ListGenerations()) {
-      std::remove(old->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-  }
+  std::filesystem::remove_all(dir);
   auto service = fss::EstimatorService::Open(dir, nullptr, &ds);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 

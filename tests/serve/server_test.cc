@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
@@ -87,13 +88,7 @@ advisor::AutoCeConfig TinyConfig() {
 /// Fresh snapshot directory (removes leftovers from a prior run).
 std::string TempStoreDir(const std::string& name) {
   std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  auto store = util::SnapshotStore::Open(dir);
-  if (store.ok()) {
-    for (uint64_t g : store->ListGenerations()) {
-      std::remove(store->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
 }
 

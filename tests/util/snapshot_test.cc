@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,13 +21,7 @@ namespace {
 std::string TempStoreDir(const std::string& name) {
   std::string dir = std::string(::testing::TempDir()) + "/" + name;
   // Fresh directory per test: remove any leftovers from a prior run.
-  auto store = SnapshotStore::Open(dir);
-  if (store.ok()) {
-    for (uint64_t g : store->ListGenerations()) {
-      std::remove(store->GenerationPath(g).c_str());
-    }
-    std::remove((dir + "/MANIFEST").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
 }
 

@@ -49,8 +49,9 @@
 // advisor's drift threshold, OOD ones enter the bounded feedback
 // queue, and the pipeline labels / Mixup-augments / trains / commits
 // them batch by batch, reloading the server after each applied batch.
-// `serve --adapt` does the same from the serve path: OOD requests are
-// enqueued while a background worker adapts concurrently.
+// `serve --adapt` does the same for the datasets it served: after the
+// burst, each one the serving advisor flags OOD is enqueued, and the
+// queue is drained before the summary line.
 //
 // Resource budgets (DESIGN.md §5.12): `serve --deadline-ms` sheds
 // requests whose deadline expired instead of embedding them, `adapt
@@ -516,11 +517,6 @@ int CmdServe(const Args& args) {
       return 1;
     }
     pipeline = std::move(*opened_pipeline);
-    Status st = pipeline->Start();
-    if (!st.ok()) {
-      std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
-      return 1;
-    }
   }
 
   Timer timer;
@@ -546,9 +542,8 @@ int CmdServe(const Args& args) {
               static_cast<size_t>(stats.batches), stats.embedded,
               stats.cache_hits, stats.shed, stats.invalid);
   if (pipeline != nullptr) {
-    // Offer every served dataset to the adaptation loop; the background
-    // worker labels and trains concurrently, then DrainAll finishes
-    // whatever is still queued before we report.
+    // Offer every served dataset to the adaptation loop, then label,
+    // train and commit whatever was enqueued before reporting.
     size_t enqueued = 0;
     for (size_t i = 0; i < datasets.size(); ++i) {
       adapt::Offered offered =
@@ -556,7 +551,6 @@ int CmdServe(const Args& args) {
       if (offered != adapt::Offered::kNotOod) ++enqueued;
     }
     Status st = pipeline->DrainAll();
-    pipeline->Stop();
     if (!st.ok()) {
       std::fprintf(stderr, "serve: adaptation: %s\n", st.ToString().c_str());
       return 1;
@@ -603,7 +597,8 @@ int CmdAdaptQuarantine(const Args& args) {
       std::printf("%s{\"fingerprint\": \"%016" PRIx64
                   "\", \"stage\": \"%s\", \"reason\": \"%s\"}",
                   i == 0 ? "" : ", ", records[i].fingerprint,
-                  records[i].stage.c_str(), records[i].reason.c_str());
+                  obs::JsonEscape(records[i].stage).c_str(),
+                  obs::JsonEscape(records[i].reason).c_str());
     }
     std::printf("]\n");
     return 0;
@@ -629,8 +624,16 @@ int CmdAdaptRequeue(const Args& args) {
                  "--snapshot-dir DIR --data DIR [--drain]`\n");
     return 2;
   }
-  uint64_t fingerprint =
-      std::strtoull(args.positional[1].c_str(), nullptr, 16);
+  // As `adapt quarantine` prints it: 1-16 hex digits, nothing else.
+  const std::string& hex = args.positional[1];
+  if (hex.empty() || hex.size() > 16 ||
+      hex.find_first_not_of("0123456789abcdefABCDEF") != std::string::npos) {
+    std::fprintf(stderr,
+                 "adapt requeue: FINGERPRINT '%s' is not 1-16 hex digits\n",
+                 hex.c_str());
+    return 2;
+  }
+  uint64_t fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
   std::string store_dir = args.Get("snapshot-dir");
   std::string data_dir = args.Get("data");
   if (store_dir.empty() || data_dir.empty()) {
