@@ -257,7 +257,7 @@ int Main() {
                  (*adapt_pipe)->TrainerDigest());
 
     // Faulted: same stream, with label/train/commit faults injected.
-    AUTOCE_CHECK(util::FaultInjection::Instance()
+    AUTOCE_CHECK(util::Faults()
                      .Configure("adapt.label:0.3,adapt.train:0.25,"
                                 "adapt.commit:0.2",
                                 /*seed=*/7)
@@ -267,7 +267,7 @@ int Main() {
       (*fault_pipe)->MaybeEnqueue(day[w].datasets[i], day[w].graphs[i]);
     }
     AUTOCE_CHECK((*fault_pipe)->DrainAll().ok());
-    util::FaultInjection::Instance().Disable();
+    util::Faults().Disable();
 
     rows.push_back(row);
     PrintRow({std::to_string(row.window), Fmt(row.drift, 2),

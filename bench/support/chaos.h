@@ -26,7 +26,7 @@ struct ChaosPhase {
   uint64_t last_tick = 0;   ///< Inclusive.
   std::vector<ChaosArm> arms;
 
-  /// `site:prob,...` spec for `FaultInjection::Configure`; empty when
+  /// `site:prob,...` spec for `util::Faults().Configure`; empty when
   /// the phase arms nothing (a calm phase).
   std::string Spec() const;
 };

@@ -184,7 +184,7 @@ Result<SoakReport> RunSoakImpl(const SoakConfig& config) {
 
   // Self-setup: an empty store gets the reference fitted advisor
   // (faults stay disabled — chaos targets the loop, not its genesis).
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
   if (DurableGeneration(config.store_dir) == 0) {
     Status st = SetupStore(config.store_dir, config.seed);
     if (!st.ok()) return st;
@@ -230,7 +230,7 @@ Result<SoakReport> RunSoakImpl(const SoakConfig& config) {
     if (config.arm_kills && schedule->KillAtTick(tick)) {
       loop->pipeline.reset();
       loop->server.reset();
-      util::FaultInjection::Instance().Disable();  // reopen runs clean
+      util::Faults().Disable();  // reopen runs clean
       auto reopened = OpenLoop(config, clock);
       if (!reopened.ok()) return reopened.status();
       *loop = std::move(*reopened);
@@ -245,7 +245,7 @@ Result<SoakReport> RunSoakImpl(const SoakConfig& config) {
     // any worker count and with kills on or off.
     row.fault_spec = schedule->SpecForTick(tick);
     if (config.arm_faults) {
-      Status st = util::FaultInjection::Instance().Configure(row.fault_spec,
+      Status st = util::Faults().Configure(row.fault_spec,
                                                              config.seed);
       if (!st.ok()) return st;
     }
@@ -365,7 +365,7 @@ Result<SoakReport> RunSoak(const SoakConfig& config) {
   auto report = RunSoakImpl(config);
   // Chaos never outlives the run, success or not: later code in the
   // same process (other soak configs, test teardown) starts clean.
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
   return report;
 }
 

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/serde.h"
 #include "util/stats.h"
@@ -661,20 +662,11 @@ Rng::State ReadRngState(BinaryReader* r) {
   return s;
 }
 
-uint64_t Fnv1a(const void* data, size_t n, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 uint64_t DigestMatrix(const nn::Matrix& m, uint64_t h) {
   uint64_t dims[2] = {static_cast<uint64_t>(m.rows()),
                       static_cast<uint64_t>(m.cols())};
-  h = Fnv1a(dims, sizeof(dims), h);
-  return Fnv1a(m.data(), m.size() * sizeof(double), h);
+  h = util::Fnv1a(dims, sizeof(dims), h);
+  return util::Fnv1a(m.data(), m.size() * sizeof(double), h);
 }
 
 const util::SnapshotSection* FindSection(
@@ -1012,7 +1004,7 @@ Result<AutoCe> AutoCe::ResumeFit(const std::string& dir,
 
 uint64_t AutoCe::EncoderDigest() const {
   if (encoder_ == nullptr) return 0;
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
+  uint64_t h = util::kFnv1aBasis;
   auto params = const_cast<gnn::GinEncoder*>(encoder_.get())->Params();
   for (const nn::Matrix* p : params) h = DigestMatrix(*p, h);
   // 0 is the "invalid" sentinel of embed_digest_; remap the (absurdly
@@ -1021,31 +1013,31 @@ uint64_t AutoCe::EncoderDigest() const {
 }
 
 uint64_t AutoCe::ModelDigest() const {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
+  uint64_t h = util::kFnv1aBasis;
   uint64_t n = graphs_.size();
-  h = Fnv1a(&n, sizeof(n), h);
+  h = util::Fnv1a(&n, sizeof(n), h);
   for (size_t i = 0; i < graphs_.size(); ++i) {
     const featgraph::FeatureGraph& g = graphs_[i];
-    h = Fnv1a(g.dataset_name.data(), g.dataset_name.size(), h);
+    h = util::Fnv1a(g.dataset_name, h);
     h = DigestMatrix(g.vertices, h);
     h = DigestMatrix(g.edges, h);
     const DatasetLabel& label = labels_[i];
-    h = Fnv1a(label.accuracy_score.data(),
-              label.accuracy_score.size() * sizeof(double), h);
-    h = Fnv1a(label.efficiency_score.data(),
-              label.efficiency_score.size() * sizeof(double), h);
-    h = Fnv1a(label.qerror_mean.data(),
-              label.qerror_mean.size() * sizeof(double), h);
-    h = Fnv1a(label.latency_ms.data(),
-              label.latency_ms.size() * sizeof(double), h);
-    h = Fnv1a(label.failed.data(), label.failed.size(), h);
+    h = util::Fnv1a(label.accuracy_score.data(),
+                    label.accuracy_score.size() * sizeof(double), h);
+    h = util::Fnv1a(label.efficiency_score.data(),
+                    label.efficiency_score.size() * sizeof(double), h);
+    h = util::Fnv1a(label.qerror_mean.data(),
+                    label.qerror_mean.size() * sizeof(double), h);
+    h = util::Fnv1a(label.latency_ms.data(),
+                    label.latency_ms.size() * sizeof(double), h);
+    h = util::Fnv1a(label.failed.data(), label.failed.size(), h);
   }
-  h = Fnv1a(label_mean_.data(), label_mean_.size() * sizeof(double), h);
+  h = util::Fnv1a(label_mean_.data(), label_mean_.size() * sizeof(double), h);
   if (encoder_ != nullptr) {
     auto params = const_cast<gnn::GinEncoder*>(encoder_.get())->Params();
     for (const nn::Matrix* p : params) h = DigestMatrix(*p, h);
   }
-  h = Fnv1a(&drift_threshold_, sizeof(drift_threshold_), h);
+  h = util::Fnv1a(&drift_threshold_, sizeof(drift_threshold_), h);
   return h;
 }
 

@@ -9,6 +9,7 @@
 
 #include "util/fault.h"
 #include "util/serde.h"
+#include "util/snapshot.h"
 
 namespace autoce::data {
 
@@ -222,33 +223,33 @@ constexpr uint32_t kDatasetMagic = 0x41444154;  // "ADAT"
 }
 
 Status SaveDataset(const Dataset& dataset, const std::string& path) {
-  BinaryWriter w(path);
-  w.WriteU32(kDatasetMagic);
-  w.WriteU32(2);  // version 2 appends dyn epoch state after the FK list
-  w.WriteString(dataset.name());
-  w.WriteU64(static_cast<uint64_t>(dataset.NumTables()));
-  for (int t = 0; t < dataset.NumTables(); ++t) {
-    const Table& table = dataset.table(t);
-    w.WriteString(table.name);
-    w.WriteI64(table.primary_key);
-    w.WriteU64(table.columns.size());
-    for (const auto& col : table.columns) {
-      w.WriteString(col.name);
-      w.WriteI64(col.domain_size);
-      w.WriteU64(col.values.size());
-      for (int32_t v : col.values) w.WriteU32(static_cast<uint32_t>(v));
+  return util::WriteFileAtomically(path, [&](BinaryWriter* w) {
+    w->WriteU32(kDatasetMagic);
+    w->WriteU32(2);  // version 2 appends dyn epoch state after the FK list
+    w->WriteString(dataset.name());
+    w->WriteU64(static_cast<uint64_t>(dataset.NumTables()));
+    for (int t = 0; t < dataset.NumTables(); ++t) {
+      const Table& table = dataset.table(t);
+      w->WriteString(table.name);
+      w->WriteI64(table.primary_key);
+      w->WriteU64(table.columns.size());
+      for (const auto& col : table.columns) {
+        w->WriteString(col.name);
+        w->WriteI64(col.domain_size);
+        w->WriteU64(col.values.size());
+        for (int32_t v : col.values) w->WriteU32(static_cast<uint32_t>(v));
+      }
     }
-  }
-  w.WriteU64(dataset.foreign_keys().size());
-  for (const auto& fk : dataset.foreign_keys()) {
-    w.WriteI64(fk.fk_table);
-    w.WriteI64(fk.fk_column);
-    w.WriteI64(fk.pk_table);
-    w.WriteI64(fk.pk_column);
-  }
-  w.WriteU64(dataset.epoch());
-  w.WriteU64(dataset.base_fingerprint());
-  return w.Close();
+    w->WriteU64(dataset.foreign_keys().size());
+    for (const auto& fk : dataset.foreign_keys()) {
+      w->WriteI64(fk.fk_table);
+      w->WriteI64(fk.fk_column);
+      w->WriteI64(fk.pk_table);
+      w->WriteI64(fk.pk_column);
+    }
+    w->WriteU64(dataset.epoch());
+    w->WriteU64(dataset.base_fingerprint());
+  });
 }
 
 Result<Dataset> LoadDataset(const std::string& path) {

@@ -68,8 +68,11 @@ Result<Table> LoadCsvTable(const std::string& path,
 
 /// Binary round-trip of whole datasets (schema + data + FK edges), used
 /// by the CLI to pass corpora between `generate`, `label`, and
-/// `recommend` steps. `LoadDataset` returns an error for a truncated or
-/// corrupt file and for a dataset `Dataset::Validate` rejects.
+/// `recommend` steps. `SaveDataset` replaces `path` atomically (temp
+/// file, fsync, rename, directory fsync), so a failed or interrupted
+/// save leaves the previous file. `LoadDataset` returns an error for a
+/// truncated or corrupt file and for a dataset `Dataset::Validate`
+/// rejects.
 Status SaveDataset(const Dataset& dataset, const std::string& path);
 Result<Dataset> LoadDataset(const std::string& path);
 

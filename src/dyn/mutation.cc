@@ -173,7 +173,10 @@ TableDelta MutateTable(data::Table* table, const MutationConfig& cfg,
 }  // namespace
 
 uint64_t DatasetFingerprint(const data::Dataset& ds) {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  // Not the FNV-1a basis (14695981039346656037): this fold has seeded
+  // every mutation stream and is stored in .adat files as
+  // base_fingerprint, so its start value stays.
+  uint64_t h = 1469598103934665603ULL;
   auto mix = [&](uint64_t v) {
     h ^= v;
     h *= 1099511628211ULL;

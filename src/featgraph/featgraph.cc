@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -21,25 +22,17 @@ double SquashSymmetric(double v, double scale) {
   return std::clamp(v / scale, -1.5, 1.5);
 }
 
-uint64_t Fnv1a(const void* data, size_t n, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 uint64_t GraphFingerprint(const FeatureGraph& graph) {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
-  h = Fnv1a(graph.dataset_name.data(), graph.dataset_name.size(), h);
+  uint64_t h = util::Fnv1a(graph.dataset_name);
   uint64_t dims[2] = {static_cast<uint64_t>(graph.vertices.rows()),
                       static_cast<uint64_t>(graph.vertices.cols())};
-  h = Fnv1a(dims, sizeof(dims), h);
-  h = Fnv1a(graph.vertices.data(), graph.vertices.size() * sizeof(double), h);
-  h = Fnv1a(graph.edges.data(), graph.edges.size() * sizeof(double), h);
+  h = util::Fnv1a(dims, sizeof(dims), h);
+  h = util::Fnv1a(graph.vertices.data(),
+                  graph.vertices.size() * sizeof(double), h);
+  h = util::Fnv1a(graph.edges.data(), graph.edges.size() * sizeof(double),
+                  h);
   return h;
 }
 

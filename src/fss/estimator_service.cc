@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -215,7 +216,7 @@ Status EstimatorService::CommitKnowledge() {
   // Content-derived key: the same knowledge commits (or faults) the
   // same way at any thread count.
   if (util::FaultPoint(util::fault_sites::kFssCommit,
-                       FssBytesHash(payload))) {
+                       util::Fnv1a(payload))) {
     return fail(Status::Internal(
         "injected fss.commit fault: knowledge snapshot not committed"));
   }

@@ -4,6 +4,7 @@
 #include <tuple>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/serde.h"
 
 namespace autoce::fss {
@@ -18,15 +19,6 @@ void PutU32(BinaryWriter* w, int32_t v) {
 }
 
 }  // namespace
-
-uint64_t FssBytesHash(std::string_view bytes) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 FssKey MakeFssKey(const query::Query& q) {
   // Canonical orderings, independent of how the query was assembled.
@@ -76,8 +68,8 @@ FssKey MakeFssKey(const query::Query& q) {
   FssKey key;
   key.signature = w.buffer();
   key.fss_hash =
-      FssBytesHash(std::string_view(key.signature).substr(0, shape_size));
-  key.literal_hash = FssBytesHash(key.signature);
+      util::Fnv1a(std::string_view(key.signature).substr(0, shape_size));
+  key.literal_hash = util::Fnv1a(key.signature);
   return key;
 }
 

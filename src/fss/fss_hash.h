@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "query/query.h"
 
@@ -45,9 +44,6 @@ struct FssKey {
 /// Builds the canonical key for `q`. Pure function of the query content,
 /// hence thread-count and call-order independent.
 FssKey MakeFssKey(const query::Query& q);
-
-/// FNV-1a 64-bit over a byte string (exposed for tests and key mixing).
-uint64_t FssBytesHash(std::string_view bytes);
 
 }  // namespace autoce::fss
 

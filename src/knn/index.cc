@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/simd.h"
 
@@ -12,13 +13,6 @@ namespace autoce::knn {
 namespace simd = ::autoce::util::simd;
 
 namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 /// Lexicographic (squared distance, index) order — the tie-break
 /// contract. sqrt is strictly monotone, so this is the historical
@@ -82,8 +76,8 @@ int32_t Index::BuildNode(std::vector<size_t>* ids, size_t begin, size_t end) {
   // Deterministic pseudo-random vantage point: a pure function of the
   // subtree's member ids, so rebuilding the same member set always
   // yields the same tree (and hence the same traversal costs).
-  size_t pick = begin + SplitMix64((*ids)[begin] * 0x9E3779B97F4A7C15ULL ^
-                                   n) % n;
+  size_t pick =
+      begin + util::SplitMix64((*ids)[begin] * 0x9E3779B97F4A7C15ULL ^ n) % n;
   std::swap((*ids)[begin], (*ids)[pick]);
   size_t pivot = (*ids)[begin];
 

@@ -53,8 +53,8 @@ void Matrix::SetRows(size_t begin, const Matrix& block) {
             data_.begin() + static_cast<ptrdiff_t>(begin * cols_));
 }
 
-// The three dense products dispatch to util::simd (scalar / AVX2 / NEON
-// behind one fixed reduction order — see simd.h). Each output element
+// The three dense products dispatch to util::simd (scalar / AVX2 behind
+// one fixed reduction order — see simd.h). Each output element
 // is one ascending-k fma chain; register tiling lives inside the kernel
 // and changes memory traffic, never floating-point associativity.
 

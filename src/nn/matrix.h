@@ -78,8 +78,8 @@ class Matrix {
   /// this * other  (rows x other.cols). Dispatches to util::simd; the
   /// per-element accumulation order is one ascending-k fma chain per
   /// output element, so results are bit-identical to the naive triple
-  /// loop written with std::fma — at every dispatch level (scalar,
-  /// AVX2, NEON alike; see util/simd.h).
+  /// loop written with std::fma — at every dispatch level (scalar and
+  /// AVX2 alike; see util/simd.h).
   Matrix MatMul(const Matrix& other) const;
 
   /// this^T * other.

@@ -155,8 +155,9 @@ struct MetricsRegistry::State {
 };
 
 MetricsRegistry& MetricsRegistry::Instance() {
-  // Leaked singleton, mirroring FaultInjection::Instance(): instruments
-  // may be touched during static destruction of other objects.
+  // Leaked singleton: instruments may be touched during static
+  // destruction of other objects (a fault or kill site that fires
+  // counts `fault.trips` here).
   static MetricsRegistry* instance = new MetricsRegistry();
   return *instance;
 }

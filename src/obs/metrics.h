@@ -32,7 +32,7 @@ namespace autoce::obs {
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
 
 namespace internal {
-/// Fast-path flag mirroring util::internal::g_fault_enabled.
+/// Fast-path flag, like `util::FaultRegistry::armed()`.
 extern std::atomic<bool> g_metrics_enabled;
 }  // namespace internal
 

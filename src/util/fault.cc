@@ -1,19 +1,12 @@
 #include "util/fault.h"
 
-#include <array>
 #include <cstdlib>
-#include <mutex>
-#include <string_view>
-#include <unordered_map>
 
 #include "obs/metrics.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace autoce::util {
-
-namespace internal {
-std::atomic<bool> g_fault_enabled{false};
-}  // namespace internal
 
 namespace {
 
@@ -28,24 +21,20 @@ constexpr std::array<const char*, 18> kAllSites = {
     fault_sites::kSnapshotWrite,   fault_sites::kSnapshotManifest,
     fault_sites::kFssLookup,       fault_sites::kFssCommit,
 };
+static_assert(kAllSites.size() <= FaultRegistry::kMaxSites);
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+}  // namespace
 
-uint64_t HashSiteName(std::string_view site) {
-  // FNV-1a over the site name; stable across runs and platforms.
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
+namespace internal {
+constinit FaultRegistry g_faults(kAllSites);
+}  // namespace internal
 
+namespace {
+// Arms the registry from the environment before main(): FaultPoint
+// reads only the armed flag, so a process driven by AUTOCE_FAULTS alone
+// (no Configure call) would otherwise never inject.
+const bool g_faults_from_env =
+    (Faults().ConfigureFromEnv("AUTOCE_FAULTS", "AUTOCE_FAULT_SEED"), true);
 }  // namespace
 
 std::span<const char* const> AllFaultSites() {
@@ -69,29 +58,16 @@ uint64_t FaultKeyFromDoubles(const double* data, std::size_t n) {
   return h;
 }
 
-struct FaultRegistry::State {
-  mutable std::mutex mu;
-  std::span<const char* const> sites;
-  std::unordered_map<std::string, double> probability;  // site -> p
-  std::unordered_map<std::string, int64_t> fires;
-  uint64_t seed = 42;
-};
-
-FaultRegistry::FaultRegistry(std::span<const char* const> sites)
-    : state_(new State()) {
-  state_->sites = sites;
+int FaultRegistry::IndexOf(std::string_view site) const {
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    if (site == sites_[i]) return static_cast<int>(i);
+  }
+  return -1;
 }
 
-FaultRegistry::~FaultRegistry() { delete state_; }
-
 Status FaultRegistry::Configure(const std::string& spec, uint64_t seed) {
-  auto is_registered = [this](std::string_view site) {
-    for (const char* s : state_->sites) {
-      if (site == s) return true;
-    }
-    return false;
-  };
-  std::unordered_map<std::string, double> parsed;
+  uint32_t configured = 0;
+  std::array<double, kMaxSites> probability{};
   std::size_t pos = 0;
   while (pos < spec.size()) {
     std::size_t comma = spec.find(',', pos);
@@ -113,50 +89,67 @@ Status FaultRegistry::Configure(const std::string& spec, uint64_t seed) {
       }
     }
     if (site == "*") {
-      for (const char* s : state_->sites) parsed[s] = p;
-    } else if (is_registered(site)) {
-      parsed[site] = p;
+      for (std::size_t i = 0; i < sites_.size(); ++i) {
+        configured |= 1u << i;
+        probability[i] = p;
+      }
+    } else if (int i = IndexOf(site); i >= 0) {
+      configured |= 1u << i;
+      probability[static_cast<std::size_t>(i)] = p;
     } else {
       return Status::InvalidArgument("unknown fault site: " + site);
     }
   }
 
-  std::lock_guard<std::mutex> lock(state_->mu);
-  state_->probability = std::move(parsed);
-  state_->fires.clear();
-  state_->seed = seed;
+  std::lock_guard<std::mutex> lock(mu_);
+  configured_ = configured;
+  probability_ = probability;
+  fires_ = {};
+  seed_ = seed;
+  armed_.store(configured != 0, std::memory_order_relaxed);
   return Status::OK();
 }
 
-void FaultRegistry::Disable() {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  state_->probability.clear();
-  state_->fires.clear();
+void FaultRegistry::ConfigureFromEnv(const char* spec_var,
+                                     const char* seed_var) {
+  const char* spec = std::getenv(spec_var);
+  if (spec == nullptr || spec[0] == '\0') return;
+  uint64_t seed = 42;
+  if (const char* s = std::getenv(seed_var)) {
+    char* end = nullptr;
+    unsigned long long v = std::strtoull(s, &end, 10);
+    if (end != s && *end == '\0') seed = v;
+  }
+  (void)Configure(spec, seed);
 }
 
-bool FaultRegistry::AnyConfigured() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return !state_->probability.empty();
+void FaultRegistry::Disable() {
+  std::lock_guard<std::mutex> lock(mu_);
+  configured_ = 0;
+  fires_ = {};
+  armed_.store(false, std::memory_order_relaxed);
 }
 
 bool FaultRegistry::Decide(const char* site, uint64_t key) {
+  const int i = IndexOf(site);
+  if (i < 0) return false;
+  const auto at = static_cast<std::size_t>(i);
   double p;
   uint64_t seed;
   {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    auto it = state_->probability.find(site);
-    if (it == state_->probability.end()) return false;
-    p = it->second;
-    seed = state_->seed;
+    std::lock_guard<std::mutex> lock(mu_);
+    if ((configured_ & (1u << at)) == 0) return false;
+    p = probability_[at];
+    seed = seed_;
   }
   // Pure decision: an Rng seeded from (seed, site, key) alone, so the
   // outcome is independent of call order and thread count.
-  Rng decision(FaultKeyMix(seed ^ HashSiteName(site), key));
+  Rng decision(FaultKeyMix(seed ^ Fnv1a(std::string_view(site)), key));
   bool fire = p >= 1.0 || decision.Uniform() < p;
   if (fire) {
     {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      ++state_->fires[site];
+      std::lock_guard<std::mutex> lock(mu_);
+      ++fires_[at];
     }
     if (obs::MetricsEnabled()) {
       obs::MetricsRegistry::Instance()
@@ -168,67 +161,15 @@ bool FaultRegistry::Decide(const char* site, uint64_t key) {
 }
 
 int64_t FaultRegistry::FireCount(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  auto it = state_->fires.find(site);
-  return it == state_->fires.end() ? 0 : it->second;
+  const int i = IndexOf(site);
+  if (i < 0) return 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  return fires_[static_cast<std::size_t>(i)];
 }
 
 void FaultRegistry::ResetCounts() {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  state_->fires.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  fires_ = {};
 }
-
-FaultInjection& FaultInjection::Instance() {
-  // Leaked singleton: fault points may run during static destruction of
-  // other objects, so the registry must never be torn down.
-  static FaultInjection* instance = new FaultInjection();
-  return *instance;
-}
-
-FaultInjection::FaultInjection()
-    : registry_(new FaultRegistry(AllFaultSites())) {
-  const char* spec = std::getenv("AUTOCE_FAULTS");
-  if (spec != nullptr && spec[0] != '\0') {
-    uint64_t seed = 42;
-    if (const char* s = std::getenv("AUTOCE_FAULT_SEED")) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(s, &end, 10);
-      if (end != s && *end == '\0') seed = v;
-    }
-    // Invalid env specs are ignored rather than fatal: injection is a
-    // testing facility and must never take down a production process.
-    (void)Configure(spec, seed);
-  }
-}
-
-Status FaultInjection::Configure(const std::string& spec, uint64_t seed) {
-  Status st = registry_->Configure(spec, seed);
-  internal::g_fault_enabled.store(st.ok() && registry_->AnyConfigured(),
-                                  std::memory_order_relaxed);
-  return st;
-}
-
-void FaultInjection::Disable() {
-  registry_->Disable();
-  internal::g_fault_enabled.store(false, std::memory_order_relaxed);
-}
-
-bool FaultInjection::ShouldFail(const char* site, uint64_t key) {
-  return registry_->Decide(site, key);
-}
-
-int64_t FaultInjection::FireCount(const std::string& site) const {
-  return registry_->FireCount(site);
-}
-
-void FaultInjection::ResetCounts() { registry_->ResetCounts(); }
-
-namespace {
-// Constructs the registry before main() so the env spec is picked up:
-// FaultPoint's fast path reads g_fault_enabled directly and would
-// otherwise never trigger the constructor in processes that only use
-// AUTOCE_FAULTS (no programmatic Configure call).
-const bool g_env_spec_loaded = (FaultInjection::Instance(), true);
-}  // namespace
 
 }  // namespace autoce::util

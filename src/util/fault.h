@@ -1,10 +1,14 @@
 #ifndef AUTOCE_UTIL_FAULT_H_
 #define AUTOCE_UTIL_FAULT_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "util/status.h"
 
@@ -121,32 +125,50 @@ uint64_t FaultKeyMix(uint64_t a, uint64_t b);
 /// Pure function of the data, hence thread-count independent.
 uint64_t FaultKeyFromDoubles(const double* data, std::size_t n);
 
-/// \brief Reusable deterministic decision machinery (thread-safe).
+/// \brief Named sites with seeded, deterministic decisions (thread-safe).
 ///
 /// A site table (`site -> probability`) plus the pure decision function
-/// of (seed, site-name hash, caller key). `FaultInjection` wraps one
-/// instance over the fault sites; the kill-point registry in
-/// `util/snapshot.h` wraps another over the persistence sites, so both
-/// share identical spec syntax and determinism guarantees.
+/// of (seed, site-name hash, caller key). The process holds two:
+/// `Faults()` over the fault sites above, and `KillPoints()`
+/// (util/snapshot.h) over the persistence kill sites, so both share one
+/// spec syntax, one environment loader and one determinism guarantee.
+///
+/// The constructor is constexpr and the destructor trivial, so a
+/// registry at namespace scope is constant-initialized: `armed()` reads
+/// false before any constructor has run and stays valid during static
+/// destruction, and nothing is ever torn down.
 class FaultRegistry {
  public:
-  /// `sites` is the set of legal site names; Configure rejects others.
-  explicit FaultRegistry(std::span<const char* const> sites);
-  ~FaultRegistry();
+  /// Most sites one registry holds.
+  static constexpr std::size_t kMaxSites = 32;
+
+  /// A disarmed registry over `sites`: at most kMaxSites names, which
+  /// must outlive it.
+  constexpr explicit FaultRegistry(std::span<const char* const> sites)
+      : sites_(sites) {}
 
   FaultRegistry(const FaultRegistry&) = delete;
   FaultRegistry& operator=(const FaultRegistry&) = delete;
 
   /// Enables decisions per `spec`: comma-separated `site[:probability]`
   /// entries (probability defaults to 1.0); `*[:p]` selects every
-  /// registered site. An empty spec disables. Unknown sites rejected.
+  /// registered site. An empty spec disables. A spec naming an unknown
+  /// site or a probability outside [0, 1] is rejected and leaves the
+  /// registry as it was.
   Status Configure(const std::string& spec, uint64_t seed = 42);
+
+  /// `Configure` from the environment: the spec in `spec_var`, the
+  /// decimal seed (default 42) in `seed_var`. An unset or empty spec
+  /// changes nothing, and an invalid one is ignored: injection is a
+  /// testing facility and must never take down a production process.
+  void ConfigureFromEnv(const char* spec_var, const char* seed_var);
 
   /// Disables every site and clears fire counts.
   void Disable();
 
-  /// True iff at least one site is configured.
-  bool AnyConfigured() const;
+  /// True iff at least one site is configured: one relaxed load, the
+  /// whole cost of a site while nothing is.
+  bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   /// Whether the keyed site fires under the current configuration.
   /// Deterministic in (seed, site, key); counts fires.
@@ -159,57 +181,31 @@ class FaultRegistry {
   void ResetCounts();
 
  private:
-  struct State;
-  State* state_;  // leaked when the owner is (see fault.cc)
-};
+  /// Position of `site` in `sites_`, or -1 when it is not registered.
+  int IndexOf(std::string_view site) const;
 
-/// \brief Process-wide injection configuration (thread-safe).
-class FaultInjection {
- public:
-  /// The singleton. On first construction the registry reads
-  /// `AUTOCE_FAULTS` / `AUTOCE_FAULT_SEED` from the environment, so
-  /// injection can be driven without code changes.
-  static FaultInjection& Instance();
-
-  /// Enables injection per `spec`: comma-separated
-  /// `site[:probability]` entries (probability defaults to 1.0);
-  /// `*[:p]` selects every registered site. An empty spec disables
-  /// injection. Unknown site names are rejected.
-  Status Configure(const std::string& spec, uint64_t seed = 42);
-
-  /// Disables every site and clears fire counts.
-  void Disable();
-
-  /// Whether the keyed fault at `site` fires under the current
-  /// configuration. Deterministic in (seed, site, key); counts fires.
-  bool ShouldFail(const char* site, uint64_t key);
-
-  /// Number of times `site` fired since the last Configure/Reset.
-  int64_t FireCount(const std::string& site) const;
-
-  /// Zeroes fire counts without changing the configuration.
-  void ResetCounts();
-
-  FaultInjection(const FaultInjection&) = delete;
-  FaultInjection& operator=(const FaultInjection&) = delete;
-
- private:
-  FaultInjection();
-  FaultRegistry* registry_;  // intentionally leaked; see fault.cc
+  std::atomic<bool> armed_{false};
+  mutable std::mutex mu_;  // guards everything below but sites_
+  std::span<const char* const> sites_;
+  uint32_t configured_ = 0;  // bit i set: sites_[i] has a probability
+  std::array<double, kMaxSites> probability_{};
+  std::array<int64_t, kMaxSites> fires_{};
+  uint64_t seed_ = 42;
 };
 
 namespace internal {
-/// Fast-path flag: true iff at least one site is configured.
-extern std::atomic<bool> g_fault_enabled;
+extern constinit FaultRegistry g_faults;
 }  // namespace internal
 
-/// The hot-path check used by instrumented code. Zero-cost (one relaxed
-/// atomic load) while injection is disabled.
+/// The fault-site registry over `AllFaultSites()`, armed before `main`
+/// from `AUTOCE_FAULTS` / `AUTOCE_FAULT_SEED`, so injection can be
+/// driven without code changes.
+inline FaultRegistry& Faults() { return internal::g_faults; }
+
+/// The hot-path check used by instrumented code: one relaxed load while
+/// no fault site is configured.
 inline bool FaultPoint(const char* site, uint64_t key) {
-  if (!internal::g_fault_enabled.load(std::memory_order_relaxed)) {
-    return false;
-  }
-  return FaultInjection::Instance().ShouldFail(site, key);
+  return Faults().armed() && Faults().Decide(site, key);
 }
 
 }  // namespace autoce::util

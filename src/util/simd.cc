@@ -10,10 +10,10 @@
 #include "util/logging.h"
 
 // Compile-time side of the dispatch: AUTOCE_SIMD=scalar defines
-// AUTOCE_SIMD_DISABLE and strips every intrinsic path; otherwise the
-// paths the target ISA can express are compiled behind per-function
-// target attributes (no global -mavx2, so the rest of the binary stays
-// runnable on baseline hardware).
+// AUTOCE_SIMD_DISABLE and strips the AVX2 path; otherwise x86-64 builds
+// compile it behind per-function target attributes (no global -mavx2,
+// so the rest of the binary stays runnable on baseline hardware). Other
+// ISAs run the scalar reference.
 #if !defined(AUTOCE_SIMD_DISABLE) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define AUTOCE_SIMD_HAVE_AVX2 1
@@ -21,13 +21,6 @@
 #define AUTOCE_TARGET_AVX2 __attribute__((target("avx2,fma")))
 #else
 #define AUTOCE_SIMD_HAVE_AVX2 0
-#endif
-
-#if !defined(AUTOCE_SIMD_DISABLE) && defined(__aarch64__)
-#define AUTOCE_SIMD_HAVE_NEON 1
-#include <arm_neon.h>
-#else
-#define AUTOCE_SIMD_HAVE_NEON 0
 #endif
 
 namespace autoce::util::simd {
@@ -590,218 +583,6 @@ AUTOCE_TARGET_AVX2 void ColumnLaneStandardizedPowers(
 #endif  // AUTOCE_SIMD_HAVE_AVX2
 
 // =====================================================================
-// NEON kernels (aarch64). Two float64x2 registers express the four
-// reduction lanes: accA = [l0 l1] takes elements k ≡ 0,1 (mod 4), accB
-// = [l2 l3] takes k ≡ 2,3; vaddq(accA, accB) = [l0+l2, l1+l3] and the
-// final lane0 + lane1 completes the same (l0+l2) + (l1+l3) tree.
-// =====================================================================
-
-#if AUTOCE_SIMD_HAVE_NEON
-
-namespace neon {
-
-inline double CombineTree(float64x2_t acc_a, float64x2_t acc_b) {
-  const float64x2_t s = vaddq_f64(acc_a, acc_b);
-  return vgetq_lane_f64(s, 0) + vgetq_lane_f64(s, 1);
-}
-
-double Dot(const double* a, const double* b, size_t n) {
-  float64x2_t acc_a = vdupq_n_f64(0.0);
-  float64x2_t acc_b = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc_a = vfmaq_f64(acc_a, vld1q_f64(a + i), vld1q_f64(b + i));
-    acc_b = vfmaq_f64(acc_b, vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
-  }
-  double lane[4] = {vgetq_lane_f64(acc_a, 0), vgetq_lane_f64(acc_a, 1),
-                    vgetq_lane_f64(acc_b, 0), vgetq_lane_f64(acc_b, 1)};
-  for (; i < n; ++i) lane[i & 3] = std::fma(a[i], b[i], lane[i & 3]);
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
-double SquaredL2(const double* a, const double* b, size_t n) {
-  float64x2_t acc_a = vdupq_n_f64(0.0);
-  float64x2_t acc_b = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float64x2_t d0 = vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-    const float64x2_t d1 =
-        vsubq_f64(vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
-    acc_a = vfmaq_f64(acc_a, d0, d0);
-    acc_b = vfmaq_f64(acc_b, d1, d1);
-  }
-  double lane[4] = {vgetq_lane_f64(acc_a, 0), vgetq_lane_f64(acc_a, 1),
-                    vgetq_lane_f64(acc_b, 0), vgetq_lane_f64(acc_b, 1)};
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    lane[i & 3] = std::fma(d, d, lane[i & 3]);
-  }
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
-void DotNorms(const double* a, const double* b, size_t n, double* dot,
-              double* norm_a, double* norm_b) {
-  float64x2_t da = vdupq_n_f64(0.0), db = vdupq_n_f64(0.0);
-  float64x2_t aa = vdupq_n_f64(0.0), ab = vdupq_n_f64(0.0);
-  float64x2_t ba = vdupq_n_f64(0.0), bb = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float64x2_t va0 = vld1q_f64(a + i), va1 = vld1q_f64(a + i + 2);
-    const float64x2_t vb0 = vld1q_f64(b + i), vb1 = vld1q_f64(b + i + 2);
-    da = vfmaq_f64(da, va0, vb0);
-    db = vfmaq_f64(db, va1, vb1);
-    aa = vfmaq_f64(aa, va0, va0);
-    ab = vfmaq_f64(ab, va1, va1);
-    ba = vfmaq_f64(ba, vb0, vb0);
-    bb = vfmaq_f64(bb, vb1, vb1);
-  }
-  double ld[4] = {vgetq_lane_f64(da, 0), vgetq_lane_f64(da, 1),
-                  vgetq_lane_f64(db, 0), vgetq_lane_f64(db, 1)};
-  double la[4] = {vgetq_lane_f64(aa, 0), vgetq_lane_f64(aa, 1),
-                  vgetq_lane_f64(ab, 0), vgetq_lane_f64(ab, 1)};
-  double lb[4] = {vgetq_lane_f64(ba, 0), vgetq_lane_f64(ba, 1),
-                  vgetq_lane_f64(bb, 0), vgetq_lane_f64(bb, 1)};
-  for (; i < n; ++i) {
-    const size_t l = i & 3;
-    ld[l] = std::fma(a[i], b[i], ld[l]);
-    la[l] = std::fma(a[i], a[i], la[l]);
-    lb[l] = std::fma(b[i], b[i], lb[l]);
-  }
-  *dot = (ld[0] + ld[2]) + (ld[1] + ld[3]);
-  *norm_a = (la[0] + la[2]) + (la[1] + la[3]);
-  *norm_b = (lb[0] + lb[2]) + (lb[1] + lb[3]);
-}
-
-double ReduceSqSum(const double* x, size_t n) {
-  float64x2_t acc_a = vdupq_n_f64(0.0);
-  float64x2_t acc_b = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float64x2_t v0 = vld1q_f64(x + i);
-    const float64x2_t v1 = vld1q_f64(x + i + 2);
-    acc_a = vfmaq_f64(acc_a, v0, v0);
-    acc_b = vfmaq_f64(acc_b, v1, v1);
-  }
-  double lane[4] = {vgetq_lane_f64(acc_a, 0), vgetq_lane_f64(acc_a, 1),
-                    vgetq_lane_f64(acc_b, 0), vgetq_lane_f64(acc_b, 1)};
-  for (; i < n; ++i) lane[i & 3] = std::fma(x[i], x[i], lane[i & 3]);
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
-/// 4 rows x 4 columns register tiles (4 chains x 2 vectors per row);
-/// edges fall through to the scalar block, bit-identical as on AVX2.
-void GemmPanels(const double* a, size_t a_i_stride, size_t a_k_stride,
-                const double* b, double* c, size_t m, size_t k, size_t n) {
-  std::memset(c, 0, m * n * sizeof(double));
-  const size_t m4 = m - m % 4;
-  const size_t n4 = n - n % 4;
-  for (size_t i0 = 0; i0 < m4; i0 += 4) {
-    for (size_t j0 = 0; j0 < n4; j0 += 4) {
-      float64x2_t acc[4][2];
-      for (int r = 0; r < 4; ++r) {
-        acc[r][0] = vdupq_n_f64(0.0);
-        acc[r][1] = vdupq_n_f64(0.0);
-      }
-      for (size_t kk = 0; kk < k; ++kk) {
-        const double* brow = b + kk * n + j0;
-        const float64x2_t b0 = vld1q_f64(brow);
-        const float64x2_t b1 = vld1q_f64(brow + 2);
-        for (int r = 0; r < 4; ++r) {
-          const double ar = a[(i0 + static_cast<size_t>(r)) * a_i_stride +
-                              kk * a_k_stride];
-          acc[r][0] = vfmaq_n_f64(acc[r][0], b0, ar);
-          acc[r][1] = vfmaq_n_f64(acc[r][1], b1, ar);
-        }
-      }
-      for (int r = 0; r < 4; ++r) {
-        double* crow = c + (i0 + static_cast<size_t>(r)) * n + j0;
-        vst1q_f64(crow, acc[r][0]);
-        vst1q_f64(crow + 2, acc[r][1]);
-      }
-    }
-    if (n4 < n) {
-      scalar::GemmBlock(a, a_i_stride, a_k_stride, b, c, k, n, i0, i0 + 4, n4,
-                        n);
-    }
-  }
-  if (m4 < m) {
-    scalar::GemmBlock(a, a_i_stride, a_k_stride, b, c, k, n, m4, m, 0, n);
-  }
-}
-
-void MatMul(const double* a, const double* b, double* c, size_t m, size_t k,
-            size_t n) {
-  GemmPanels(a, k, 1, b, c, m, k, n);
-}
-
-void MatMulTN(const double* a, const double* b, double* c, size_t k, size_t m,
-              size_t n) {
-  GemmPanels(a, 1, m, b, c, m, k, n);
-}
-
-void MatMulNT(const double* a, const double* b, double* c, size_t m, size_t k,
-              size_t n) {
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) c[i * n + j] = Dot(a + i * k, b + j * k, k);
-  }
-}
-
-void Axpy(double alpha, const double* x, double* y, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i, vfmaq_n_f64(vld1q_f64(y + i), vld1q_f64(x + i), alpha));
-  }
-  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
-}
-
-void AddInPlace(double* y, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i), vld1q_f64(x + i)));
-  }
-  for (; i < n; ++i) y[i] += x[i];
-}
-
-void ScaleInPlace(double* y, double s, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i, vmulq_n_f64(vld1q_f64(y + i), s));
-  }
-  for (; i < n; ++i) y[i] *= s;
-}
-
-void ReluInPlace(double* x, size_t n) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t v = vld1q_f64(x + i);
-    const uint64x2_t neg = vcltq_f64(v, zero);  // false for NaN, -0.0
-    vst1q_f64(x + i, vbslq_f64(neg, zero, v));
-  }
-  for (; i < n; ++i) {
-    if (x[i] < 0.0) x[i] = 0.0;
-  }
-}
-
-void ReluBackward(const double* pre, double* grad, size_t n) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t p = vld1q_f64(pre + i);
-    const float64x2_t g = vld1q_f64(grad + i);
-    const uint64x2_t off = vcleq_f64(p, zero);  // false for NaN
-    vst1q_f64(grad + i, vbslq_f64(off, zero, g));
-  }
-  for (; i < n; ++i) {
-    if (pre[i] <= 0.0) grad[i] = 0.0;
-  }
-}
-
-}  // namespace neon
-
-#endif  // AUTOCE_SIMD_HAVE_NEON
-
-// =====================================================================
 // Dispatch plumbing.
 // =====================================================================
 
@@ -855,74 +636,33 @@ constexpr Kernels kAvx2Table = {
 };
 #endif
 
-#if AUTOCE_SIMD_HAVE_NEON
-constexpr Kernels kNeonTable = {
-    Level::kNeon,         neon::MatMul,         neon::MatMulTN,
-    neon::MatMulNT,       neon::Dot,            neon::SquaredL2,
-    neon::DotNorms,       neon::ReduceSqSum,    neon::Axpy,
-    neon::AddInPlace,     neon::ScaleInPlace,   neon::ReluInPlace,
-    neon::ReluBackward,
-    // The integer and column-lane kernels have no NEON path yet (none
-    // has been tested on aarch64); their scalar reference gives the
-    // same bits.
-    scalar::SumMinMaxI32, scalar::CountEqualI32,
-    scalar::ColumnLaneSquaredDeviations,
-    scalar::ColumnLaneStandardizedPowers,
-};
-#endif
-
+/// The table of an available `level`. The scalar table is referenced
+/// first: the order of these references sets the order in which GCC 12
+/// emits the kernels, and so each kernel's offset in simd.cc.o, and
+/// kernel placement alone moves `train` and `fss` timings (ROADMAP
+/// item 1).
 const Kernels* TableFor(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return &kScalarTable;
-    case Level::kAvx2:
+  if (level == Level::kScalar) return &kScalarTable;
 #if AUTOCE_SIMD_HAVE_AVX2
-      return &kAvx2Table;
+  return &kAvx2Table;
 #else
-      return nullptr;
+  return &kScalarTable;
 #endif
-    case Level::kNeon:
-#if AUTOCE_SIMD_HAVE_NEON
-      return &kNeonTable;
-#else
-      return nullptr;
-#endif
-  }
-  return nullptr;
 }
 
 Level BestAvailable() {
-#if AUTOCE_SIMD_HAVE_AVX2
-  if (LevelAvailable(Level::kAvx2)) return Level::kAvx2;
-#endif
-#if AUTOCE_SIMD_HAVE_NEON
-  return Level::kNeon;
-#endif
-  return Level::kScalar;
-}
-
-Level BuildDefault() {
-#ifdef AUTOCE_SIMD_BUILD_DEFAULT
-  Level pinned;
-  if (ParseLevel(AUTOCE_SIMD_BUILD_DEFAULT, &pinned)) {
-    if (LevelAvailable(pinned)) return pinned;
-    AUTOCE_LOG(Warning) << "build-pinned AUTOCE_SIMD=" AUTOCE_SIMD_BUILD_DEFAULT
-                        << " unavailable on this machine; using "
-                        << LevelName(BestAvailable());
-  }
-#endif
-  return BestAvailable();
+  return LevelAvailable(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 }
 
 Level ResolveInitialLevel() {
   const char* env = std::getenv("AUTOCE_SIMD");
-  if (env == nullptr || env[0] == '\0') return BuildDefault();
+  if (env == nullptr || env[0] == '\0') return BestAvailable();
   std::string name(env);
   if (name == "auto") return BestAvailable();
   Level requested;
   if (!ParseLevel(name, &requested)) {
     AUTOCE_LOG(Warning) << "AUTOCE_SIMD=" << name
-                        << " is not auto|scalar|avx2|neon; using "
+                        << " is not auto|scalar|avx2; using "
                         << LevelName(BestAvailable());
     return BestAvailable();
   }
@@ -947,42 +687,24 @@ inline const Kernels& Active() {
 }  // namespace
 
 Level CompiledLevel() {
-#if AUTOCE_SIMD_HAVE_AVX2
-  return Level::kAvx2;
-#elif AUTOCE_SIMD_HAVE_NEON
-  return Level::kNeon;
-#else
-  return Level::kScalar;
-#endif
+  return AUTOCE_SIMD_HAVE_AVX2 ? Level::kAvx2 : Level::kScalar;
 }
 
 bool LevelAvailable(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return true;
-    case Level::kAvx2:
+  if (level == Level::kScalar) return true;
 #if AUTOCE_SIMD_HAVE_AVX2
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return level == Level::kAvx2 && __builtin_cpu_supports("avx2") &&
+         __builtin_cpu_supports("fma");
 #else
-      return false;
-#endif
-    case Level::kNeon:
-#if AUTOCE_SIMD_HAVE_NEON
-      return true;  // baseline on aarch64
-#else
-      return false;
-#endif
-  }
   return false;
+#endif
 }
 
 Level ActiveLevel() { return Active().level; }
 
 bool SetActiveLevel(Level level) {
   if (!LevelAvailable(level)) return false;
-  const Kernels* table = TableFor(level);
-  if (table == nullptr) return false;
-  TableRef().store(table, std::memory_order_relaxed);
+  TableRef().store(TableFor(level), std::memory_order_relaxed);
   return true;
 }
 
@@ -992,8 +714,6 @@ const char* LevelName(Level level) {
       return "scalar";
     case Level::kAvx2:
       return "avx2";
-    case Level::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -1003,8 +723,6 @@ bool ParseLevel(const std::string& name, Level* out) {
     *out = Level::kScalar;
   } else if (name == "avx2") {
     *out = Level::kAvx2;
-  } else if (name == "neon") {
-    *out = Level::kNeon;
   } else {
     return false;
   }

@@ -11,14 +11,13 @@ namespace autoce::util::simd {
 /// runtime dispatch layer (DESIGN.md §5.10).
 ///
 /// Every kernel computes a *fixed reduction order*, identical at every
-/// dispatch level, so scalar, AVX2, and NEON produce bit-for-bit the
-/// same doubles:
+/// dispatch level, so scalar and AVX2 produce bit-for-bit the same
+/// doubles:
 ///
 /// * Map and reduction kernels accumulate by fused multiply-add
-///   (`std::fma` in the scalar reference; `vfmadd` / `vfmaq` in the
-///   vector paths). fma is correctly rounded by IEEE-754, so the
-///   instruction used cannot change the result — only the order of
-///   combination could.
+///   (`std::fma` in the scalar reference, `vfmadd` in the AVX2 path).
+///   fma is correctly rounded by IEEE-754, so the instruction used
+///   cannot change the result — only the order of combination could.
 /// * Map-style kernels (MatMul, Axpy, elementwise ops) keep one
 ///   accumulation chain per *output element*, walked in ascending k.
 ///   Vector lanes hold distinct output elements, so the vector width
@@ -27,25 +26,24 @@ namespace autoce::util::simd {
 ///   kReduceLanes = 4 accumulator lanes: element k joins lane (k mod 4)
 ///   in ascending k, and the lanes combine in the fixed tree
 ///   (l0 + l2) + (l1 + l3). AVX2 holds the four lanes in one register,
-///   NEON in two, the scalar reference in four named doubles — all
-///   three walk the identical abstract order.
+///   the scalar reference in four named doubles — both walk the
+///   identical abstract order.
 /// * Column-lane kernels hold one sequence per lane and repeat the
 ///   scalar loop's separately rounded operations in the same order.
 ///   The library builds with -ffp-contract=off, so no multiply and add
-///   is fused behind the code's back. They have no NEON path yet: that
-///   slot runs the scalar reference.
+///   is fused behind the code's back.
 /// * Integer kernels are exact, so their order cannot change a result.
 ///
-/// The compile-time side is the AUTOCE_SIMD CMake option
-/// (auto|avx2|neon|scalar); the runtime side is CPU detection plus the
-/// AUTOCE_SIMD environment override (same spellings), clamped to what
-/// was compiled in and what the CPU supports.
+/// The compile-time side is the AUTOCE_SIMD CMake option (auto|scalar):
+/// "scalar" compiles the AVX2 path out, and builds for other ISAs have
+/// none. The runtime side is CPU detection plus the AUTOCE_SIMD
+/// environment override (auto|scalar|avx2), clamped to what was
+/// compiled in and what the CPU supports.
 
 /// Dispatch level. Order is "preference": higher enum value is picked
 /// first by auto-detection when available.
 enum class Level : int {
   kScalar = 0,  ///< portable reference (std::fma chains)
-  kNeon = 1,    ///< aarch64 NEON (baseline on that ISA)
   kAvx2 = 2,    ///< x86-64 AVX2 + FMA
 };
 
@@ -54,7 +52,7 @@ enum class Level : int {
 inline constexpr size_t kReduceLanes = 4;
 
 /// Best level compiled into this binary (the AUTOCE_SIMD CMake option
-/// can compile the vector paths out entirely).
+/// can compile the AVX2 path out).
 Level CompiledLevel();
 
 /// Whether `level` can run on this machine with this binary.
@@ -70,7 +68,7 @@ Level ActiveLevel();
 /// Must not race in-flight kernels.
 bool SetActiveLevel(Level level);
 
-/// "scalar", "avx2", or "neon".
+/// "scalar" or "avx2".
 const char* LevelName(Level level);
 
 /// Parses a level name (as in AUTOCE_SIMD); returns false on unknown

@@ -78,6 +78,7 @@ constexpr std::array<const char*, 11> kKillSites = {
     kill_sites::kAdaptLabeled,
     kill_sites::kAdaptTrained,
 };
+static_assert(kKillSites.size() <= FaultRegistry::kMaxSites);
 
 /// fsyncs a directory so a rename inside it is durable.
 Status SyncDir(const std::string& dir) {
@@ -165,39 +166,9 @@ std::span<const char* const> AllKillSites() {
 
 namespace internal {
 
-std::atomic<bool> g_kill_enabled{false};
+constinit FaultRegistry g_kill_points(kKillSites);
 
-namespace {
-FaultRegistry& KillRegistry() {
-  // Leaked, like the fault registry: kill points must stay valid for the
-  // whole process lifetime.
-  static FaultRegistry* registry = new FaultRegistry(AllKillSites());
-  return *registry;
-}
-
-// Loads AUTOCE_KILLPOINTS / AUTOCE_KILLPOINT_SEED before main(), so the
-// subprocess harness arms kill points purely via the environment.
-const bool g_env_spec_loaded = [] {
-  const char* spec = std::getenv("AUTOCE_KILLPOINTS");
-  if (spec != nullptr && spec[0] != '\0') {
-    uint64_t seed = 42;
-    if (const char* s = std::getenv("AUTOCE_KILLPOINT_SEED")) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(s, &end, 10);
-      if (end != s && *end == '\0') seed = v;
-    }
-    // Invalid specs are ignored, mirroring AUTOCE_FAULTS: a typo must
-    // never take down a production process.
-    Status st = KillRegistry().Configure(spec, seed);
-    g_kill_enabled.store(st.ok() && KillRegistry().AnyConfigured(),
-                         std::memory_order_relaxed);
-  }
-  return true;
-}();
-}  // namespace
-
-void KillPointImpl(const char* site, uint64_t key) {
-  if (!KillRegistry().Decide(site, key)) return;
+void ExitAtKillPoint(const char* site, uint64_t key) {
   // No cleanup, no atexit, no flushing of other streams: the closest
   // in-process equivalent of SIGKILL, so recovery tests exercise the
   // same torn states a real crash would leave behind.
@@ -209,18 +180,14 @@ void KillPointImpl(const char* site, uint64_t key) {
 
 }  // namespace internal
 
-Status ConfigureKillPoints(const std::string& spec, uint64_t seed) {
-  Status st = internal::KillRegistry().Configure(spec, seed);
-  internal::g_kill_enabled.store(
-      st.ok() && internal::KillRegistry().AnyConfigured(),
-      std::memory_order_relaxed);
-  return st;
-}
-
-void DisableKillPoints() {
-  internal::KillRegistry().Disable();
-  internal::g_kill_enabled.store(false, std::memory_order_relaxed);
-}
+namespace {
+// Arms kill points from the environment before main(), so the
+// subprocess harness drives them without code changes.
+const bool g_kill_points_from_env =
+    (KillPoints().ConfigureFromEnv("AUTOCE_KILLPOINTS",
+                                   "AUTOCE_KILLPOINT_SEED"),
+     true);
+}  // namespace
 
 Result<std::vector<SnapshotSection>> ReadSnapshotFile(
     const std::string& path) {
@@ -277,9 +244,15 @@ Status WriteSnapshotFile(const std::string& path,
   if (sections.size() > kMaxSections) {
     return Status::InvalidArgument("too many snapshot sections");
   }
+  return WriteFileAtomically(
+      path, [&](BinaryWriter* file) { FrameSnapshot(sections, file); });
+}
+
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<void(BinaryWriter*)>& write) {
   const std::string tmp = path + ".tmp";
   BinaryWriter file(tmp);
-  FrameSnapshot(sections, &file);
+  write(&file);
   Status st = file.Close();  // flushes and fsyncs
   if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
     st = Status::Internal("rename failed: " + tmp + " -> " + path);

@@ -1,13 +1,15 @@
 #ifndef AUTOCE_UTIL_SNAPSHOT_H_
 #define AUTOCE_UTIL_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "util/fault.h"
 #include "util/result.h"
+#include "util/serde.h"
 #include "util/status.h"
 
 namespace autoce::util {
@@ -42,15 +44,23 @@ Result<std::vector<SnapshotSection>> ReadSnapshotFile(
 Status WriteSnapshotFile(const std::string& path,
                          const std::vector<SnapshotSection>& sections);
 
+/// Replaces `path` atomically and durably: `write` fills a file writer
+/// on `<path>.tmp`, which is fsynced and renamed over `path`, and then
+/// the directory is fsynced. A crash leaves the previous file or the
+/// new one, never a torn one; on failure the temp file is removed and
+/// `path` is untouched.
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<void(BinaryWriter*)>& write);
+
 /// \brief Deterministic process-abort hooks at named persistence sites.
 ///
 /// The recovery harness drives these via `AUTOCE_KILLPOINTS` /
-/// `AUTOCE_KILLPOINT_SEED` (same `site[:probability]` spec syntax and
-/// pure decision function as `AUTOCE_FAULTS`, see util/fault.h). When a
-/// site fires the process terminates immediately via `std::_Exit` with
-/// no cleanup — the in-process equivalent of `kill -9` — so tests can
-/// prove every commit step is crash-atomic. Disabled (one relaxed
-/// atomic load) unless the environment configures a site.
+/// `AUTOCE_KILLPOINT_SEED`: a `FaultRegistry` like `AUTOCE_FAULTS`, with
+/// the same spec syntax and pure decision function (util/fault.h). When
+/// a site fires the process terminates immediately via `std::_Exit`
+/// with no cleanup — the in-process equivalent of `kill -9` — so tests
+/// can prove every commit step is crash-atomic. Disabled (one relaxed
+/// atomic load) unless a site is configured.
 namespace kill_sites {
 /// Mid-write of the snapshot temp file: only a prefix reached the OS.
 inline constexpr const char* kTmpPartial = "snapshot.tmp_partial";
@@ -93,23 +103,24 @@ std::span<const char* const> AllKillSites();
 inline constexpr int kKillExitCode = 137;
 
 namespace internal {
-extern std::atomic<bool> g_kill_enabled;
-/// Slow path: decides via the registry and `std::_Exit`s on fire.
-void KillPointImpl(const char* site, uint64_t key);
+extern constinit FaultRegistry g_kill_points;
+/// Reports the fired site on stderr and `std::_Exit`s with
+/// kKillExitCode.
+[[noreturn]] void ExitAtKillPoint(const char* site, uint64_t key);
 }  // namespace internal
 
-/// The hook instrumenting persistence code. Zero-cost while no kill
-/// point is configured.
-inline void KillPoint(const char* site, uint64_t key) {
-  if (!internal::g_kill_enabled.load(std::memory_order_relaxed)) return;
-  internal::KillPointImpl(site, key);
-}
+/// The kill-site registry over `AllKillSites()`, armed before `main`
+/// from `AUTOCE_KILLPOINTS` / `AUTOCE_KILLPOINT_SEED`; tests of the
+/// decision logic configure it in process.
+inline FaultRegistry& KillPoints() { return internal::g_kill_points; }
 
-/// Programmatic configuration of kill points (the env variables cover
-/// the subprocess harness; tests of the decision logic use this).
-/// Spec syntax matches `FaultRegistry::Configure`.
-Status ConfigureKillPoints(const std::string& spec, uint64_t seed = 42);
-void DisableKillPoints();
+/// The hook instrumenting persistence code: one relaxed load while no
+/// kill site is configured.
+inline void KillPoint(const char* site, uint64_t key) {
+  if (KillPoints().armed() && KillPoints().Decide(site, key)) {
+    internal::ExitAtKillPoint(site, key);
+  }
+}
 
 struct SnapshotStoreOptions {
   /// Number of newest good generations retained by the keep-N GC.

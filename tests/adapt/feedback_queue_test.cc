@@ -254,7 +254,7 @@ TEST_F(FeedbackQueueTest, ZeroCapacityIsCoercedToOne) {
 }
 
 TEST_F(FeedbackQueueTest, EnqueueFaultDropsAndCountsWithoutFailing) {
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   ASSERT_TRUE(
       injection.Configure(std::string(util::fault_sites::kAdaptEnqueue) +
                           ":1.0")
@@ -276,7 +276,7 @@ TEST_F(FeedbackQueueTest, RegistryCountersEqualStatsAfterTheQueueIsGone) {
   // registry counter, and the registry keeps the counts after the queue
   // is destroyed.
   auto& registry = obs::MetricsRegistry::Instance();
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   registry.Enable();
   registry.Reset();
   FeedbackQueueStats stats;

@@ -117,6 +117,7 @@ class PipelineTest : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
+    if (template_dir_ != nullptr) std::filesystem::remove_all(*template_dir_);
     delete feed_datasets_;
     delete feed_graphs_;
     delete template_dir_;
@@ -125,12 +126,18 @@ class PipelineTest : public ::testing::Test {
     template_dir_ = nullptr;
   }
 
-  /// Clones the fitted template store into a fresh directory.
-  static std::string CloneTemplate(const std::string& name) {
+  void TearDown() override {
+    for (const std::string& dir : clones_) std::filesystem::remove_all(dir);
+  }
+
+  /// Clones the fitted template store into a fresh directory, which
+  /// TearDown removes.
+  std::string CloneTemplate(const std::string& name) {
     std::string dst =
         TempStoreDir(name + "_" + std::to_string(::getpid()));
     std::filesystem::copy(*template_dir_, dst,
                           std::filesystem::copy_options::recursive);
+    clones_.push_back(dst);
     return dst;
   }
 
@@ -163,6 +170,7 @@ class PipelineTest : public ::testing::Test {
   static std::vector<data::Dataset>* feed_datasets_;
   static std::vector<featgraph::FeatureGraph>* feed_graphs_;
   static std::string* template_dir_;
+  std::vector<std::string> clones_;
 };
 
 std::vector<data::Dataset>* PipelineTest::feed_datasets_ = nullptr;
@@ -286,7 +294,7 @@ TEST_F(PipelineTest, LabelFaultExhaustionDegradesToSentinel) {
   rig.pipeline->set_sleep_fn([&](double ms) { sleeps.push_back(ms); });
   size_t rcs_before = rig.pipeline->TrainerRcsSize();
 
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   ASSERT_TRUE(injection
                   .Configure(std::string(util::fault_sites::kAdaptLabel) +
                              ":1.0")
@@ -329,7 +337,7 @@ TEST_F(PipelineTest, BackoffScheduleIsDeterministic) {
     std::vector<double> sleeps;
     Rig rig = OpenRig(dir);
     rig.pipeline->set_sleep_fn([&](double ms) { sleeps.push_back(ms); });
-    auto& injection = util::FaultInjection::Instance();
+    auto& injection = util::Faults();
     EXPECT_TRUE(injection
                     .Configure(std::string(util::fault_sites::kAdaptLabel) +
                                ":1.0")
@@ -349,7 +357,7 @@ TEST_F(PipelineTest, TrainFaultExhaustionQuarantines) {
   uint64_t digest_before = rig.pipeline->TrainerDigest();
   uint64_t gen_before = rig.server->generation();
 
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   ASSERT_TRUE(injection
                   .Configure(std::string(util::fault_sites::kAdaptTrain) +
                              ":1.0")
@@ -387,7 +395,7 @@ TEST_F(PipelineTest, CommitVerificationFailureRollsBack) {
   std::string dir = CloneTemplate("adapt_commit_fault");
   Rig rig = OpenRig(dir);
 
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   ASSERT_TRUE(injection
                   .Configure(std::string(util::fault_sites::kAdaptCommit) +
                              ":1.0")
@@ -523,7 +531,7 @@ TEST_F(PipelineTest, LabelBudgetClockReadsArePinned) {
     Rig rig = OpenRig(dir, config);
     OfferFeed(rig.pipeline.get(), 0);
     OfferFeed(rig.pipeline.get(), 1);
-    auto& injection = util::FaultInjection::Instance();
+    auto& injection = util::Faults();
     EXPECT_TRUE(injection
                     .Configure(std::string(util::fault_sites::kAdaptLabel) +
                                ":1.0")
@@ -556,7 +564,7 @@ TEST_F(PipelineTest, QuarantineLogPersistsAcrossRestart) {
   uint64_t poisoned = featgraph::GraphFingerprint((*feed_graphs_)[0]);
   {
     Rig rig = OpenRig(dir);
-    auto& injection = util::FaultInjection::Instance();
+    auto& injection = util::Faults();
     ASSERT_TRUE(injection
                     .Configure(std::string(util::fault_sites::kAdaptTrain) +
                                ":1.0")
@@ -593,7 +601,7 @@ TEST_F(PipelineTest, RequeueFromQuarantineClearsAndReapplies) {
   Rig rig = OpenRig(dir);
   uint64_t poisoned = featgraph::GraphFingerprint((*feed_graphs_)[0]);
 
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   ASSERT_TRUE(injection
                   .Configure(std::string(util::fault_sites::kAdaptTrain) +
                              ":1.0")
@@ -672,7 +680,7 @@ TEST_F(PipelineTest, MultiWorkerDrainIsBitIdentical) {
     config.batch_size = 8;
     config.num_workers = workers;
     Rig rig = OpenRig(dir, config);
-    auto& injection = util::FaultInjection::Instance();
+    auto& injection = util::Faults();
     EXPECT_TRUE(injection
                     .Configure(std::string(util::fault_sites::kAdaptLabel) +
                                ":0.5")
@@ -719,7 +727,7 @@ TEST_F(PipelineTest, RegistryCountersEqualStatsAfterThePipelineIsGone) {
   // counter moves.
   namespace sites = util::fault_sites;
   auto& registry = obs::MetricsRegistry::Instance();
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   std::string dir = CloneTemplate("adapt_registry");
   AdaptationConfig config;
   config.label_budget_ms_per_batch = 10.0;

@@ -121,6 +121,8 @@ TEST_P(AdaptKillSweepTest, CrashedStageRecoversToBaselineDigest) {
   ASSERT_EQ(resumed.exit_code, 0) << site << "\n" << resumed.output;
   EXPECT_EQ(ExtractDigest(resumed.output), want) << site;
   EXPECT_EQ(ExtractGen(resumed.output), ExtractGen(baseline.output)) << site;
+  std::filesystem::remove_all(base_dir);
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -155,6 +157,8 @@ TEST(AdaptKillSweepTest, RepeatedKillsStillConverge) {
   ASSERT_EQ(last.exit_code, 0) << "never survived after " << attempts
                                << " reruns\n" << last.output;
   EXPECT_EQ(ExtractDigest(last.output), want);
+  std::filesystem::remove_all(base_dir);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

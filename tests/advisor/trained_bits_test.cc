@@ -132,8 +132,8 @@ Bits TrainAndProbe() {
 
 TEST(TrainedBitsTest, FitRecommendAndOnlineUpdateArePinned) {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
-  for (simd::Level l : {simd::Level::kAvx2, simd::Level::kNeon}) {
-    if (simd::LevelAvailable(l)) levels.push_back(l);
+  if (simd::LevelAvailable(simd::Level::kAvx2)) {
+    levels.push_back(simd::Level::kAvx2);
   }
   const simd::Level prev_level = simd::ActiveLevel();
   for (simd::Level level : levels) {

@@ -85,7 +85,7 @@ TEST(ChaosScheduleTest, SpecsParseableByFaultRegistry) {
   config.calm_fraction = 0.0;
   auto schedule = GenerateChaosSchedule(config);
   ASSERT_TRUE(schedule.ok());
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   for (uint64_t tick = 0; tick < schedule->ticks; ++tick) {
     std::string spec = schedule->SpecForTick(tick);
     ASSERT_FALSE(spec.empty()) << "tick " << tick;

@@ -42,7 +42,7 @@ SoakConfig SmokeConfig(const std::string& dir) {
 
 class SoakSmokeTest : public ::testing::Test {
  protected:
-  void TearDown() override { util::FaultInjection::Instance().Disable(); }
+  void TearDown() override { util::Faults().Disable(); }
 };
 
 TEST_F(SoakSmokeTest, ArmedSoakHoldsInvariantsAndEndsDurable) {

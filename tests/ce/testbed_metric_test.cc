@@ -99,7 +99,7 @@ TEST(TestbedTelemetryTest, PerModelTimingsFollowTheRegistry) {
     }
     return reg.GetHistogram(name, {{"model", key}})->Snapshot().count;
   };
-  ASSERT_TRUE(util::FaultInjection::Instance()
+  ASSERT_TRUE(util::Faults()
                   .Configure("ce.testbed.train:0.5", 11)
                   .ok());
   reg.Reset();
@@ -112,7 +112,7 @@ TEST(TestbedTelemetryTest, PerModelTimingsFollowTheRegistry) {
   reg.Enable();
   auto on = RunTestbed(ds, cfg);
   reg.Disable();
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
   ASSERT_TRUE(off.ok() && on.ok());
 
   int64_t train_samples = 0;

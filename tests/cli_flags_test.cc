@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -163,6 +165,20 @@ std::string LineStartingWith(const std::string& output,
   return "";
 }
 
+/// The bytes of the newest `snap-*.snap` generation in store `dir`.
+std::string NewestGenerationBytes(const std::filesystem::path& dir) {
+  std::string newest;  // names are zero-padded, so the largest is newest
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("snap-", 0) == 0 && e.path().extension() == ".snap") {
+      newest = std::max(newest, name);
+    }
+  }
+  if (newest.empty()) return "";
+  std::ifstream in(dir / newest, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 TEST(CliAdaptTest, ServeAdaptAndAdaptApplyDriftedDatasets) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "cli_adapt";
@@ -189,7 +205,7 @@ TEST(CliAdaptTest, ServeAdaptAndAdaptApplyDriftedDatasets) {
             0)
       << output;
   // Each command adapts its own copy of the trained store.
-  for (const char* copy : {"serve", "w1", "w2"}) {
+  for (const char* copy : {"serve", "w1", "w2", "adapt"}) {
     fs::copy(dir / "store", dir / copy, fs::copy_options::recursive);
   }
 
@@ -225,6 +241,19 @@ TEST(CliAdaptTest, ServeAdaptAndAdaptApplyDriftedDatasets) {
   }
   EXPECT_NE(lines[0].find("(RCS "), std::string::npos) << lines[0];
   EXPECT_EQ(lines[0], lines[1]);
+
+  // `serve --adapt` labels with the same testbed as a default `adapt`,
+  // so both commit the same final generation from the same store.
+  output.clear();
+  ASSERT_EQ(RunCli("adapt --snapshot-dir " + d + "/adapt --data " + d +
+                       "/drift",
+                   &output),
+            0)
+      << output;
+  const std::string served = NewestGenerationBytes(dir / "serve");
+  ASSERT_FALSE(served.empty());
+  EXPECT_TRUE(served == NewestGenerationBytes(dir / "adapt"))
+      << "serve --adapt and adapt committed different generations";
   fs::remove_all(dir);
 }
 

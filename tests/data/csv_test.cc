@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "data/generator.h"
@@ -289,6 +290,34 @@ TEST(DatasetSerdeTest, RejectsGarbage) {
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(DatasetSerdeTest, FailedSaveKeepsThePreviousFile) {
+  // SaveDataset writes a temp file and renames it into place, so a save
+  // that fails (here: the temp path is occupied by a directory) leaves
+  // the previous .adat loadable and unchanged, and no temp file behind.
+  Rng rng(4);
+  DatasetGenParams p;
+  p.min_tables = p.max_tables = 2;
+  p.min_rows = p.max_rows = 60;
+  Dataset first = GenerateDataset(p, &rng);
+  Dataset second = GenerateDataset(p, &rng);
+  const std::string path = TempPath("atomic.adat");
+  ASSERT_TRUE(SaveDataset(first, path).ok());
+  const std::string saved = ReadFile(path);
+
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  EXPECT_FALSE(SaveDataset(second, path).ok());
+  EXPECT_FALSE(std::filesystem::is_regular_file(tmp));
+  std::filesystem::remove_all(tmp);
+
+  EXPECT_EQ(ReadFile(path), saved);
+  auto loaded = LoadDataset(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->name(), first.name());
+  std::remove(path.c_str());
 }
 
 TEST(DatasetSerdeTest, CorruptRowCountIsDataLoss) {

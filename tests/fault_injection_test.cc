@@ -101,18 +101,16 @@ advisor::AutoCeConfig TinyAdvisorConfig() {
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
-  void SetUp() override { util::FaultInjection::Instance().Disable(); }
-  void TearDown() override { util::FaultInjection::Instance().Disable(); }
+  void SetUp() override { util::Faults().Disable(); }
+  void TearDown() override { util::Faults().Disable(); }
 
-  static util::FaultInjection& Reg() {
-    return util::FaultInjection::Instance();
-  }
+  static util::FaultRegistry& Reg() { return util::Faults(); }
 };
 
 // --- per-site contract handlers -------------------------------------
 
 void ExerciseCsvRow() {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   std::string path = std::string(::testing::TempDir()) + "/fault_rows.csv";
   {
     std::ofstream out(path);
@@ -153,7 +151,7 @@ void ExerciseCsvRow() {
 
 /// Shared testbed path for the three sites that fail a candidate cell.
 void ExerciseTestbedSite(const char* site, double probability) {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   char spec[96];
   std::snprintf(spec, sizeof(spec), "%s:%.2f", site, probability);
   ASSERT_TRUE(reg.Configure(spec, /*seed=*/5).ok());
@@ -185,7 +183,7 @@ void ExerciseTestbedSite(const char* site, double probability) {
 
 /// Shared DML trainer path for the loss/grad sites.
 void ExerciseDmlSite(const char* site) {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   auto datasets = TinyCorpus(6, 77);
   featgraph::FeatureExtractor extractor;
   std::vector<featgraph::FeatureGraph> graphs;
@@ -229,7 +227,7 @@ void ExerciseDmlSite(const char* site) {
 }
 
 void ExerciseFitSample() {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   auto datasets = TinyCorpus(12, 88);
   featgraph::FeatureExtractor extractor;
   std::vector<featgraph::FeatureGraph> graphs;
@@ -247,7 +245,7 @@ void ExerciseFitSample() {
     EXPECT_GT(adv.fit_report().samples_skipped, 0u);
     EXPECT_FALSE(adv.fit_report().skipped_reasons.empty());
     EXPECT_GE(adv.RcsSize(), 4u);
-    util::FaultInjection::Instance().Disable();
+    util::Faults().Disable();
     auto rec = adv.Recommend(graphs[0], 0.9);
     ASSERT_TRUE(rec.ok()) << rec.status().ToString();
     for (double s : rec->score_vector) EXPECT_TRUE(std::isfinite(s));
@@ -258,7 +256,7 @@ void ExerciseFitSample() {
 }
 
 void ExerciseRecommendEmbed() {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   auto datasets = TinyCorpus(8, 99);
   featgraph::FeatureExtractor extractor;
   std::vector<featgraph::FeatureGraph> graphs;
@@ -285,14 +283,14 @@ void ExerciseRecommendEmbed() {
   EXPECT_EQ(rec->model, rec2->model);
 
   // With injection off again, the same advisor serves normally.
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
   auto clean = adv.Recommend(graphs[0], 0.9);
   ASSERT_TRUE(clean.ok());
   EXPECT_FALSE(clean->degraded);
 }
 
 void ExerciseServeAdmission() {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   auto datasets = TinyCorpus(8, 123);
   featgraph::FeatureExtractor extractor;
   std::vector<featgraph::FeatureGraph> graphs;
@@ -330,7 +328,7 @@ void ExerciseServeAdmission() {
   }
 
   // With injection off, the same server answers normally.
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
   auto clean = server.Serve(requests);
   for (const auto& resp : clean) {
     EXPECT_TRUE(resp.status.ok());
@@ -340,7 +338,7 @@ void ExerciseServeAdmission() {
 }
 
 void ExerciseServeReload() {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   auto datasets = TinyCorpus(8, 321);
   featgraph::FeatureExtractor extractor;
   std::vector<featgraph::FeatureGraph> graphs;
@@ -380,13 +378,13 @@ void ExerciseServeReload() {
   }
 
   // With injection off, the reload goes through.
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
   EXPECT_TRUE((*server)->Reload().ok());
   EXPECT_GE((*server)->stats().reloads, 1u);
 }
 
 void ExerciseAdaptEnqueue() {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   auto datasets = TinyCorpus(1, 555);
   featgraph::FeatureExtractor fx;
   adapt::FeedbackQueue queue(4);
@@ -412,7 +410,7 @@ void ExerciseAdaptEnqueue() {
 /// quarantine), DrainAll never errors or wedges, and the loop applies
 /// fresh items again once injection is off.
 void ExerciseAdaptPipelineSite(const std::string& site) {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   auto datasets = TinyCorpus(10, 556);
   featgraph::FeatureExtractor fx;
   std::vector<featgraph::FeatureGraph> graphs;
@@ -483,7 +481,7 @@ void ExerciseAdaptPipelineSite(const std::string& site) {
 /// behavior — torn-tmp removal, orphan rollback, disk budgets — lives
 /// in snapshot_test.cc's SnapshotDiskFailureTest.)
 void ExerciseSnapshotSite(const std::string& site) {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   std::string dir = std::string(::testing::TempDir()) + "/fault_" + site;
   std::filesystem::remove_all(dir);
   auto store = util::SnapshotStore::Open(dir);
@@ -524,7 +522,7 @@ data::Dataset FssFaultDataset(uint64_t seed) {
 /// optimizer keeps planning; the model answers again once injection
 /// is off.
 void ExerciseFssLookup() {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   data::Dataset ds = FssFaultDataset(171);
   auto service = fss::EstimatorService::Open("", nullptr, &ds);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -556,7 +554,7 @@ void ExerciseFssLookup() {
 /// previous durable generation keeps loading; commits succeed again
 /// once injection is off.
 void ExerciseFssCommit() {
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   data::Dataset ds = FssFaultDataset(173);
   std::string dir = std::string(::testing::TempDir()) + "/fault_fss_commit";
   std::filesystem::remove_all(dir);
@@ -635,7 +633,7 @@ void ExerciseSite(const std::string& site) {
 TEST_F(FaultInjectionTest, EveryRegisteredSiteHonorsItsContract) {
   for (const char* site : util::AllFaultSites()) {
     SCOPED_TRACE(site);
-    util::FaultInjection::Instance().Disable();
+    util::Faults().Disable();
     ExerciseSite(site);
   }
 }
@@ -654,7 +652,7 @@ InjectedPipelineResult RunInjectedPipeline(int threads) {
   // Same spec + seed every run: the fault decisions are pure functions
   // of (seed, site, key), so the *injected* pipeline must be as
   // reproducible as the clean one.
-  auto& reg = util::FaultInjection::Instance();
+  auto& reg = util::Faults();
   EXPECT_TRUE(reg.Configure("*:0.3", /*seed=*/31).ok());
 
   InjectedPipelineResult out;
@@ -674,14 +672,14 @@ InjectedPipelineResult RunInjectedPipeline(int threads) {
       out.degraded.push_back(rec.ok() && rec->degraded ? 1 : 0);
     }
   }
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
   return out;
 }
 
 class InjectedDeterminismTest : public ::testing::TestWithParam<int> {
  protected:
   void TearDown() override {
-    util::FaultInjection::Instance().Disable();
+    util::Faults().Disable();
     util::SetGlobalParallelism(util::DefaultParallelism());
   }
 };

@@ -186,13 +186,13 @@ TEST(EstimatorServiceTest, LookupFaultFallsBackToHistogram) {
   auto queries = MakeWorkload(ds, 4, 8);
 
   ASSERT_TRUE(
-      util::FaultInjection::Instance().Configure("fss.lookup", 7).ok());
+      util::Faults().Configure("fss.lookup", 7).ok());
   for (const auto& q : queries) {
     EXPECT_DOUBLE_EQ((*service)->EstimateSubplan(q),
                      histogram.EstimateCardinality(q));
   }
   EXPECT_EQ((*service)->stats().fallbacks, 4u);
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
 
   // Recovered: the model answers again, and the degraded answer was not
   // cached.
@@ -214,9 +214,9 @@ TEST(EstimatorServiceTest, CommitFaultLeavesDurableStoreUntouched) {
 
   (*service)->ObserveTrueCardinality(queries[1], 60);
   ASSERT_TRUE(
-      util::FaultInjection::Instance().Configure("fss.commit", 7).ok());
+      util::Faults().Configure("fss.commit", 7).ok());
   Status failed = (*service)->CommitKnowledge();
-  util::FaultInjection::Instance().Disable();
+  util::Faults().Disable();
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ((*service)->stats().commit_failures, 1u);
   // In-memory knowledge kept; durable store still the first commit.
@@ -249,7 +249,7 @@ TEST(EstimatorServiceTest, RegistryCountersEqualStatsAfterTheServiceIsGone) {
   // counter. The registry keeps the counts after the service is
   // destroyed: traced runs read them once their services are gone.
   auto& registry = obs::MetricsRegistry::Instance();
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   registry.Enable();
   registry.Reset();
   data::Dataset ds = MakeDataset(20);

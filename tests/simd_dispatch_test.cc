@@ -43,11 +43,8 @@ uint64_t Digest(std::span<const double> values) {
 /// level when it differs (on AVX2 hardware this pins scalar == avx2).
 std::vector<simd::Level> SweepLevels() {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
-  for (simd::Level l : {simd::Level::kAvx2, simd::Level::kNeon}) {
-    if (simd::LevelAvailable(l)) {
-      levels.push_back(l);
-      break;
-    }
+  if (simd::LevelAvailable(simd::Level::kAvx2)) {
+    levels.push_back(simd::Level::kAvx2);
   }
   return levels;
 }
@@ -370,7 +367,6 @@ TEST(SimdDispatchTest, GemmEdgeShapesArePinned) {
 TEST(SimdDispatchTest, DispatchPlumbing) {
   EXPECT_STREQ(simd::LevelName(simd::Level::kScalar), "scalar");
   EXPECT_STREQ(simd::LevelName(simd::Level::kAvx2), "avx2");
-  EXPECT_STREQ(simd::LevelName(simd::Level::kNeon), "neon");
   simd::Level parsed;
   EXPECT_TRUE(simd::ParseLevel("avx2", &parsed));
   EXPECT_EQ(parsed, simd::Level::kAvx2);
@@ -382,11 +378,9 @@ TEST(SimdDispatchTest, DispatchPlumbing) {
   EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
   EXPECT_TRUE(simd::SetActiveLevel(prev));
   // An unavailable level is rejected and changes nothing.
-  for (simd::Level l : {simd::Level::kAvx2, simd::Level::kNeon}) {
-    if (!simd::LevelAvailable(l)) {
-      EXPECT_FALSE(simd::SetActiveLevel(l));
-      EXPECT_EQ(simd::ActiveLevel(), prev);
-    }
+  if (!simd::LevelAvailable(simd::Level::kAvx2)) {
+    EXPECT_FALSE(simd::SetActiveLevel(simd::Level::kAvx2));
+    EXPECT_EQ(simd::ActiveLevel(), prev);
   }
 }
 

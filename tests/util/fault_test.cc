@@ -13,7 +13,7 @@ namespace {
 /// order.
 class FaultTest : public ::testing::Test {
  protected:
-  void TearDown() override { FaultInjection::Instance().Disable(); }
+  void TearDown() override { Faults().Disable(); }
 };
 
 TEST_F(FaultTest, SiteListIsNonEmptyAndUnique) {
@@ -24,7 +24,7 @@ TEST_F(FaultTest, SiteListIsNonEmptyAndUnique) {
 }
 
 TEST_F(FaultTest, DisabledByDefault) {
-  FaultInjection::Instance().Disable();
+  Faults().Disable();
   for (const char* site : AllFaultSites()) {
     EXPECT_FALSE(FaultPoint(site, 0));
     EXPECT_FALSE(FaultPoint(site, 12345));
@@ -32,7 +32,7 @@ TEST_F(FaultTest, DisabledByDefault) {
 }
 
 TEST_F(FaultTest, RejectsUnknownSite) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   EXPECT_FALSE(reg.Configure("no.such.site").ok());
   EXPECT_FALSE(reg.Configure("data.csv.row,bogus:0.5").ok());
   // A failed Configure must not half-enable injection.
@@ -40,14 +40,14 @@ TEST_F(FaultTest, RejectsUnknownSite) {
 }
 
 TEST_F(FaultTest, RejectsBadProbability) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   EXPECT_FALSE(reg.Configure("data.csv.row:1.5").ok());
   EXPECT_FALSE(reg.Configure("data.csv.row:-0.1").ok());
   EXPECT_FALSE(reg.Configure("data.csv.row:abc").ok());
 }
 
 TEST_F(FaultTest, ProbabilityOneAlwaysFires) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   ASSERT_TRUE(reg.Configure(std::string(fault_sites::kNnLoss) + ":1.0").ok());
   for (uint64_t key = 0; key < 50; ++key) {
     EXPECT_TRUE(FaultPoint(fault_sites::kNnLoss, key));
@@ -58,7 +58,7 @@ TEST_F(FaultTest, ProbabilityOneAlwaysFires) {
 }
 
 TEST_F(FaultTest, ProbabilityZeroNeverFires) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   ASSERT_TRUE(reg.Configure(std::string(fault_sites::kNnLoss) + ":0.0").ok());
   for (uint64_t key = 0; key < 50; ++key) {
     EXPECT_FALSE(FaultPoint(fault_sites::kNnLoss, key));
@@ -67,7 +67,7 @@ TEST_F(FaultTest, ProbabilityZeroNeverFires) {
 }
 
 TEST_F(FaultTest, DecisionIsDeterministicInSeedSiteKey) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   ASSERT_TRUE(reg.Configure("*:0.5", /*seed=*/7).ok());
   std::vector<bool> first;
   for (uint64_t key = 0; key < 200; ++key) {
@@ -89,7 +89,7 @@ TEST_F(FaultTest, DecisionIsDeterministicInSeedSiteKey) {
 }
 
 TEST_F(FaultTest, SitesDecideIndependently) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   ASSERT_TRUE(reg.Configure("*:0.5", /*seed=*/3).ok());
   bool any_diff = false;
   for (uint64_t key = 0; key < 200; ++key) {
@@ -100,7 +100,7 @@ TEST_F(FaultTest, SitesDecideIndependently) {
 }
 
 TEST_F(FaultTest, IntermediateProbabilityFiresRoughlyAsOften) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   ASSERT_TRUE(reg.Configure(std::string(fault_sites::kFitSample) + ":0.3").ok());
   int fires = 0;
   for (uint64_t key = 0; key < 1000; ++key) {
@@ -112,7 +112,7 @@ TEST_F(FaultTest, IntermediateProbabilityFiresRoughlyAsOften) {
 }
 
 TEST_F(FaultTest, WildcardSelectsEverySite) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   ASSERT_TRUE(reg.Configure("*").ok());
   for (const char* site : AllFaultSites()) {
     EXPECT_TRUE(FaultPoint(site, 1)) << site;
@@ -120,7 +120,7 @@ TEST_F(FaultTest, WildcardSelectsEverySite) {
 }
 
 TEST_F(FaultTest, ResetCountsKeepsConfiguration) {
-  auto& reg = FaultInjection::Instance();
+  auto& reg = Faults();
   ASSERT_TRUE(reg.Configure(std::string(fault_sites::kCsvRow)).ok());
   EXPECT_TRUE(FaultPoint(fault_sites::kCsvRow, 9));
   EXPECT_EQ(reg.FireCount(fault_sites::kCsvRow), 1);

@@ -271,16 +271,16 @@ TEST(KillPointTest, DisabledByDefaultAndZeroCost) {
 }
 
 TEST(KillPointTest, ConfigureRejectsUnknownSite) {
-  EXPECT_FALSE(ConfigureKillPoints("no.such.site:1.0").ok());
-  DisableKillPoints();
+  EXPECT_FALSE(KillPoints().Configure("no.such.site:1.0").ok());
+  KillPoints().Disable();
 }
 
 TEST(KillPointTest, AllSitesAreRegistered) {
   auto sites = AllKillSites();
   ASSERT_EQ(sites.size(), 11u);
   for (const char* site : sites) {
-    EXPECT_TRUE(ConfigureKillPoints(site).ok()) << site;
-    DisableKillPoints();
+    EXPECT_TRUE(KillPoints().Configure(site).ok()) << site;
+    KillPoints().Disable();
   }
 }
 
@@ -290,7 +290,7 @@ TEST(KillPointDeathTest, FiringSiteExitsWithKillCode) {
   ASSERT_TRUE(store.ok());
   EXPECT_EXIT(
       {
-        ASSERT_TRUE(ConfigureKillPoints(kill_sites::kTmpSynced).ok());
+        ASSERT_TRUE(KillPoints().Configure(kill_sites::kTmpSynced).ok());
         (void)store->Commit(MakeSections("killed"));
       },
       ::testing::ExitedWithCode(kKillExitCode), "AUTOCE_KILLPOINT fired");
@@ -311,7 +311,7 @@ TEST_P(KillSiteRecoveryTest, DeathMidCommitLeavesStoreRecoverable) {
 
   EXPECT_EXIT(
       {
-        ASSERT_TRUE(ConfigureKillPoints(site).ok());
+        ASSERT_TRUE(KillPoints().Configure(site).ok());
         (void)store->Commit(MakeSections("after"));
       },
       ::testing::ExitedWithCode(kKillExitCode), "AUTOCE_KILLPOINT fired")
@@ -357,7 +357,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// commit must leave the previous generation installed and loadable.
 class SnapshotDiskFailureTest : public ::testing::Test {
  protected:
-  void TearDown() override { FaultInjection::Instance().Disable(); }
+  void TearDown() override { Faults().Disable(); }
 };
 
 TEST_F(SnapshotDiskFailureTest, EnospcDuringSnapshotWriteKeepsPreviousGen) {
@@ -366,7 +366,7 @@ TEST_F(SnapshotDiskFailureTest, EnospcDuringSnapshotWriteKeepsPreviousGen) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->Commit(MakeSections("good")).ok());
 
-  ASSERT_TRUE(FaultInjection::Instance()
+  ASSERT_TRUE(Faults()
                   .Configure(std::string(fault_sites::kSnapshotWrite) + ":1")
                   .ok());
   auto failed = store->Commit(MakeSections("doomed"));
@@ -374,7 +374,7 @@ TEST_F(SnapshotDiskFailureTest, EnospcDuringSnapshotWriteKeepsPreviousGen) {
   EXPECT_NE(failed.status().message().find("No space left on device"),
             std::string::npos)
       << "errno string missing: " << failed.status().message();
-  FaultInjection::Instance().Disable();
+  Faults().Disable();
 
   // No torn temp file left behind, MANIFEST still points at the good
   // generation, and it loads.
@@ -396,7 +396,7 @@ TEST_F(SnapshotDiskFailureTest, EnospcDuringManifestWriteRollsBackOrphan) {
   ASSERT_TRUE(good.ok());
 
   ASSERT_TRUE(
-      FaultInjection::Instance()
+      Faults()
           .Configure(std::string(fault_sites::kSnapshotManifest) + ":1")
           .ok());
   auto failed = store->Commit(MakeSections("doomed"));
@@ -404,7 +404,7 @@ TEST_F(SnapshotDiskFailureTest, EnospcDuringManifestWriteRollsBackOrphan) {
   EXPECT_NE(failed.status().message().find("No space left on device"),
             std::string::npos)
       << failed.status().message();
-  FaultInjection::Instance().Disable();
+  Faults().Disable();
 
   // The orphan snapshot (renamed but never manifested) was rolled back:
   // the store holds exactly the good generation and loads it.

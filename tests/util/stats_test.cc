@@ -99,8 +99,7 @@ void ExpectColumnsMatchReference(const std::vector<std::vector<int32_t>>& column
                                                     columns.end());
   const util::simd::Level prev = util::simd::ActiveLevel();
   for (util::simd::Level level :
-       {util::simd::Level::kScalar, util::simd::Level::kAvx2,
-        util::simd::Level::kNeon}) {
+       {util::simd::Level::kScalar, util::simd::Level::kAvx2}) {
     if (!util::simd::SetActiveLevel(level)) continue;
     std::vector<stats::Moments> got(columns.size());
     stats::MomentsOfColumns(spans, got);

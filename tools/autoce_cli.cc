@@ -223,6 +223,17 @@ Args Parse(int argc, char** argv) {
   return out;
 }
 
+/// The CE testbed that `train`, `adapt`, `adapt requeue` and `serve
+/// --adapt` label with, so all four label a dataset to the same bits:
+/// 200 train and 80 test queries unless --train-queries/--test-queries
+/// say otherwise (`serve` passes no flags).
+ce::TestbedConfig LabelingTestbed(const Args& flags = {}) {
+  ce::TestbedConfig testbed;
+  testbed.num_train_queries = flags.GetInt<int>("train-queries", 200);
+  testbed.num_test_queries = flags.GetInt<int>("test-queries", 80);
+  return testbed;
+}
+
 std::vector<std::string> ListAdatFiles(const std::string& dir) {
   std::vector<std::string> out;
   DIR* d = opendir(dir.c_str());
@@ -330,9 +341,7 @@ int CmdTrain(const Args& args) {
   }
   std::printf("labeling %zu datasets (trains 7 CE models each)...\n",
               datasets.size());
-  ce::TestbedConfig testbed;
-  testbed.num_train_queries = args.GetInt<int>("train-queries", 200);
-  testbed.num_test_queries = args.GetInt<int>("test-queries", 80);
+  ce::TestbedConfig testbed = LabelingTestbed(args);
   featgraph::FeatureExtractor extractor;
   Timer timer;
   auto corpus = advisor::LabelCorpus(std::move(datasets), testbed, extractor,
@@ -509,6 +518,7 @@ int CmdServe(const Args& args) {
     }
     adapt::AdaptationConfig adapt_config;
     adapt_config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+    adapt_config.testbed = LabelingTestbed();
     auto opened_pipeline = adapt::AdaptationPipeline::Open(
         args.Get("snapshot-dir"), server.get(), adapt_config);
     if (!opened_pipeline.ok()) {
@@ -643,8 +653,7 @@ int CmdAdaptRequeue(const Args& args) {
   }
   adapt::AdaptationConfig config;
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  config.testbed.num_train_queries = args.GetInt<int>("train-queries", 200);
-  config.testbed.num_test_queries = args.GetInt<int>("test-queries", 80);
+  config.testbed = LabelingTestbed(args);
   auto opened = adapt::AdaptationPipeline::Open(store_dir, /*server=*/nullptr,
                                                 config);
   if (!opened.ok()) {
@@ -733,8 +742,7 @@ int CmdAdapt(const Args& args) {
   config.queue_capacity = args.GetInt<size_t>("queue", 64);
   config.batch_size = static_cast<size_t>(batch);
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  config.testbed.num_train_queries = args.GetInt<int>("train-queries", 200);
-  config.testbed.num_test_queries = args.GetInt<int>("test-queries", 80);
+  config.testbed = LabelingTestbed(args);
   config.label_budget_ms_per_batch = args.GetDouble("label-budget-ms", 0.0);
   config.num_workers = args.GetInt<int>("workers", 1);
   util::SnapshotStoreOptions store_options;
@@ -817,7 +825,7 @@ int CmdFaults(const Args& args) {
     std::fprintf(stderr, "faults: expected `faults list`\n");
     return 2;
   }
-  auto& injection = util::FaultInjection::Instance();
+  auto& injection = util::Faults();
   std::printf("fault sites (AUTOCE_FAULTS=site[:prob],... or `*`):\n");
   for (const char* site : util::AllFaultSites()) {
     std::printf("  %-24s trips %" PRId64 "\n", site,
